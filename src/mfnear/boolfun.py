@@ -114,26 +114,41 @@ class AffineFit:
         return dot(self.linear_part.bits, x) ^ self.constant
 
 
+def walsh_rows(values: np.ndarray) -> np.ndarray:
+    """Walsh spectra of every row of a (rows, 2^m) array of 0/1 values.
+
+    One fast Walsh-Hadamard transform over all rows at once, O(rows m 2^m);
+    row r of the int32 result is W_r(u) = sum_x (-1)^(values[r, x] xor <u,x>).
+    Each butterfly pass transforms the top index bit and rotates it to the
+    bottom, so after m passes every bit is done and back in place.
+    """
+    rows, size = values.shape
+    if size < 2 or size & (size - 1):
+        raise ValueError("row length must be 2^m with m >= 1")
+    w = 1 - 2 * values.astype(np.int32)
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        top, bottom = w[:, :half], w[:, half:]
+        w = np.stack((top + bottom, top - bottom), axis=-1).reshape(rows, size)
+    return w
+
+
+def bent_rows(values: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, 2^m) 0/1 array: every |W(u)| equals 2^(m/2)."""
+    m = values.shape[1].bit_length() - 1
+    if m % 2:
+        raise ValueError("bentness requires an even number of variables")
+    return (np.abs(walsh_rows(values)) == 1 << (m // 2)).all(axis=1)
+
+
 def walsh_transform(f: TruthTable) -> WalshSpectrum:
-    """Fast Walsh-Hadamard transform, O(m 2^m)."""
-    w = 1 - 2 * f.to_u8().astype(np.int32)
-    h = 1
-    while h < w.size:
-        w = w.reshape(-1, 2 * h)
-        left = w[:, :h].copy()
-        w[:, :h] = left + w[:, h:]
-        w[:, h:] = left - w[:, h:]
-        w = w.reshape(-1)
-        h *= 2
-    return WalshSpectrum(f.m, tuple(int(v) for v in w))
+    """Walsh spectrum of one function, through walsh_rows."""
+    return WalshSpectrum(f.m, tuple(walsh_rows(f.to_u8()[None, :])[0].tolist()))
 
 
 def is_bent(f: TruthTable) -> bool:
     """True iff every Walsh coefficient has absolute value 2^(m/2)."""
-    if f.m % 2:
-        raise ValueError("bentness requires an even number of variables")
-    target = 1 << (f.m // 2)
-    return all(abs(w) == target for w in walsh_transform(f).values)
+    return bool(bent_rows(f.to_u8()[None, :])[0])
 
 
 def hamming_distance(f: TruthTable, g: TruthTable) -> int:

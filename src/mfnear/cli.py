@@ -4,7 +4,9 @@ Subcommands: formulas (closed-form panel per 2n), table (reproduce the
 printed tables), near (per-function neighbor analysis), verify (oracle
 suites, exit 1 on failure), sample (seeded Monte Carlo estimates).
 Output is deterministic for fixed (command, parameters, seed); JSON embeds
-the schema version, the seed and the work counters.
+the schema version, the seed and the work counters.  Exit codes: 0 ok,
+1 a verification failed, 2 bad usage (with a message), 3 internal error
+(one line on stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from typing import Optional
 
 from . import counting, kernels, oracle
@@ -36,6 +38,7 @@ SCHEMA = "mfnear/1"
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
@@ -82,7 +85,7 @@ def _parse_two_n_range(spec: str) -> list[int]:
     else:
         lo_i = hi_i = int(spec)
     if lo_i < 2 or hi_i > 24 or lo_i % 2 or hi_i % 2 or lo_i > hi_i:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--two-n {spec}: need even values in 2..24, low <= high")
     return list(range(lo_i, hi_i + 1, 2))
 
 
@@ -103,18 +106,18 @@ def cmd_table(args) -> int:
 def _parse_function(args) -> tuple[Optional[MMFunction], TruthTable]:
     if args.hex:
         if args.two_n is None:
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError("--hex needs --two-n")
         f = TruthTable.from_hex(args.hex, args.two_n)
         g = decode_mm(f)
         return g, f
     if args.pi is None or args.phi is None:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("give --pi and --phi, or --hex with --two-n")
     table = json.loads(args.pi)
     n = (len(table)).bit_length() - 1
     pi = Permutation(tuple(table), n)
     phi_str = args.phi.strip()
     if len(phi_str) != 1 << n or set(phi_str) - {"0", "1"}:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--phi must be a bit string of length {1 << n}")
     phi = TruthTable.from_values((int(c) for c in phi_str), n)
     g = MMFunction(pi, phi)
     return g, build_mmf(g)
@@ -160,6 +163,9 @@ def cmd_near(args) -> int:
         if args.mode == "realize":
             result["realized"] = sorted(realize_near(g, w).to_hex() for w in witnesses)
         if args.parents is not None:
+            if not 0 <= args.parents < len(witnesses):
+                print(f"--parents must be a witness index in 0..{len(witnesses) - 1}", file=sys.stderr)
+                return EXIT_USAGE
             w = witnesses[args.parents]
             if w.L.dim != 2:
                 print("--parents needs a dim-2 witness index", file=sys.stderr)
@@ -177,7 +183,7 @@ def cmd_near(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, seed: int, trials: int, jobs: int) -> list[oracle.VerificationOutcome]:
+def _run_suite(name: str, seed: int, trials: int) -> list[oracle.VerificationOutcome]:
     if name == "sums":
         out = []
         for n in (2, 3):
@@ -196,8 +202,8 @@ def _run_suite(name: str, seed: int, trials: int, jobs: int) -> list[oracle.Veri
             oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
         ]
     if name == "near":
-        return [_verify_near_equality(seed=seed, trials=trials, jobs=jobs)]
-    raise SystemExit(EXIT_USAGE)
+        return [_verify_near_equality(seed=seed, trials=trials)]
+    raise ValueError(f"unknown suite {name!r}")
 
 
 def _near_sets_match(g: MMFunction) -> bool:
@@ -207,17 +213,10 @@ def _near_sets_match(g: MMFunction) -> bool:
     return realized == brute
 
 
-def _verify_near_equality(seed: int, trials: int, jobs: int) -> oracle.VerificationOutcome:
-    import time as _time
-
-    t0 = _time.perf_counter()
+def _verify_near_equality(seed: int, trials: int) -> oracle.VerificationOutcome:
+    t0 = time.perf_counter()
     rng = random.Random(seed)
-    funcs = [MMFunction.random(3, rng) for _ in range(trials)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_near_sets_match, funcs))
-    else:
-        results = [_near_sets_match(g) for g in funcs]
+    results = [_near_sets_match(MMFunction.random(3, rng)) for _ in range(trials)]
     ok = all(results)
     bad = results.index(False) if not ok else None
     return oracle.VerificationOutcome(
@@ -225,11 +224,14 @@ def _verify_near_equality(seed: int, trials: int, jobs: int) -> oracle.Verificat
         ok,
         {"functions": trials},
         None if ok else f"function #{bad} disagrees",
-        _time.perf_counter() - t0,
+        time.perf_counter() - t0,
     )
 
 
 def cmd_verify(args) -> int:
+    if args.trials <= 0:
+        print("trials must be positive", file=sys.stderr)
+        return EXIT_USAGE
     suites = (
         ["sums", "coincidence", "census", "beta", "near"]
         if args.suite == "all"
@@ -237,7 +239,7 @@ def cmd_verify(args) -> int:
     )
     outcomes = []
     for s in suites:
-        outcomes.extend(_run_suite(s, args.seed, args.trials, args.jobs))
+        outcomes.extend(_run_suite(s, args.seed, args.trials))
     payload = {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -263,7 +265,6 @@ def cmd_sample(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mfnear", description=__doc__)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sub = p.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("formulas", help="closed-form counts per 2n")
@@ -317,6 +318,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return rc
 
 

@@ -16,10 +16,6 @@ from typing import Iterable, Iterator, Optional
 MAX_WIDTH = 16
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def parity(x: int) -> int:
     return x.bit_count() & 1
 
@@ -243,9 +239,17 @@ class LinearSubspace:
             raise ValueError("basis is not in reduced row echelon form")
 
     @classmethod
+    def _from_rref(cls, rows: tuple[int, ...], ambient: int) -> "LinearSubspace":
+        """Wrap rows that are already an rref basis, skipping the re-check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "basis", rows)
+        object.__setattr__(obj, "ambient", ambient)
+        return obj
+
+    @classmethod
     def from_vectors(cls, vectors: Iterable[int], ambient: int) -> "LinearSubspace":
-        rows, _ = rref_rows(vectors, ambient)
-        return cls(rows, ambient)
+        _check_width(ambient)
+        return cls._from_rref(rref_rows(vectors, ambient)[0], ambient)
 
     @classmethod
     def zero(cls, ambient: int) -> "LinearSubspace":
@@ -261,7 +265,8 @@ class LinearSubspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return rref_rows(self.basis, self.ambient)[1]
+        """1-based pivot columns: the lowest set bit of each rref row."""
+        return tuple((row & -row).bit_length() for row in self.basis)
 
     def points(self) -> list[int]:
         """All 2^dim elements, in basis-combination order."""
@@ -327,9 +332,6 @@ class AffineSubspace:
 
     def is_linear(self) -> bool:
         return self.base == 0
-
-    def translate(self, v: int) -> "AffineSubspace":
-        return AffineSubspace.coset(self.base ^ v, self.direction)
 
 
 @dataclass(frozen=True)
@@ -466,8 +468,9 @@ def coset_representatives(basis: tuple[int, ...], n: int) -> list[int]:
 
 def enumerate_subspaces(n: int, k: int, affine: bool = False) -> Iterator[LinearSubspace | AffineSubspace]:
     """Yield every k-dimensional (affine) subspace of Z2^n exactly once."""
+    _check_width(n)
     for basis in linear_subspace_bases(n, k):
-        direction = LinearSubspace(basis, n)
+        direction = LinearSubspace._from_rref(basis, n)
         if not affine:
             yield direction
             continue

@@ -98,9 +98,6 @@ class MMFunction:
     def n(self) -> int:
         return self.pi.n
 
-    def truth_table(self) -> TruthTable:
-        return build_mmf(self)
-
     @classmethod
     def random(cls, n: int, rng) -> "MMFunction":
         pi = Permutation.random(n, rng)
@@ -223,9 +220,10 @@ def compose_subspace(t: SubspaceTriple, info_set: Optional[IndexSet] = None) -> 
     b = t.L.base
     rows = []
     if k:
-        x0 = embed_bits(t.H.evaluate(b), I.indices)
+        hb = t.H.evaluate(b)
+        x0 = embed_bits(hb, I.indices)
         for v in t.L.direction.basis:
-            dx = embed_bits(t.H.evaluate(b ^ v) ^ t.H.evaluate(b), I.indices)
+            dx = embed_bits(t.H.evaluate(b ^ v) ^ hb, I.indices)
             rows.append(dx | (v << n))
     else:
         x0 = 0
@@ -282,11 +280,14 @@ class HSolutionSpace:
 
     Solutions live in the k(k+1)-bit space of values at the anchor points
     (base, base xor basis rows); `particular` and `kernel` are coefficient
-    vectors there.  Empty solution set has particular None.
+    vectors there.  Empty solution set has particular None.  `image` is the
+    direction of the pi-image of the domain and `info_set` its information
+    set.
     """
 
     domain: AffineSubspace
     width: int
+    image: LinearSubspace
     info_set: IndexSet
     particular: Optional[int]
     kernel: tuple[int, ...]
@@ -318,19 +319,18 @@ class HSolutionSpace:
         out.sort(key=lambda h: (h.matrix.rows, h.constant.bits))
         return out
 
-    def kernel_maps(self) -> list[AffineMap]:
-        return [self._coeff_to_map(kv) for kv in self.kernel]
 
-    def particular_map(self) -> Optional[AffineMap]:
-        return None if self.particular is None else self._coeff_to_map(self.particular)
+def _image_direction(pi: Permutation, L: AffineSubspace) -> LinearSubspace:
+    """Direction of the affine subspace pi(L); L must have an affine image."""
+    hull = affine_hull_or_none((pi.table[p] for p in L.points()), pi.n)
+    if hull is None:
+        raise ValueError("pi image of L is not an affine subspace")
+    return hull.direction
 
 
 def _image_info_set(pi: Permutation, L: AffineSubspace) -> IndexSet:
     """Information set of the span of pi(L); L must have an affine image."""
-    hull = affine_hull_or_none((pi.table[p] for p in L.points()), pi.n)
-    if hull is None:
-        raise ValueError("pi image of L is not an affine subspace")
-    return information_set(hull.direction)
+    return information_set(_image_direction(pi, L))
 
 
 def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
@@ -341,11 +341,11 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     span combination of weight >= 2, so the solution count is 0 or a power
     of two.
     """
-    n = g.n
     k = L.dim
-    I = _image_info_set(g.pi, L)
+    image = _image_direction(g.pi, L)
+    I = information_set(image)
     if k == 0:
-        return HSolutionSpace(L, 0, I, 0, ())
+        return HSolutionSpace(L, 0, image, I, 0, ())
     b = L.base
     basis = L.direction.basis
     width = k * (k + 1)
@@ -382,9 +382,9 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
 
     sol = solve_linear(rows, rhs, width)
     if sol is None:
-        return HSolutionSpace(L, k, I, None, ())
+        return HSolutionSpace(L, k, image, I, None, ())
     particular, kernel = sol
-    return HSolutionSpace(L, k, I, particular, tuple(kernel))
+    return HSolutionSpace(L, k, image, I, particular, tuple(kernel))
 
 
 def dim2_h_maps(g: MMFunction, L: AffineSubspace) -> list[AffineMap]:
@@ -438,30 +438,34 @@ class NearBentWitness:
     subspace: AffineSubspace
 
 
-def _make_witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap], I: IndexSet) -> NearBentWitness:
-    hull = affine_hull_or_none((g.pi.table[p] for p in L.points()), g.n)
-    R = orthogonal(hull.direction)
-    U = compose_subspace(SubspaceTriple(L, R, H), info_set=I)
-    return NearBentWitness(L, H, I, U)
+def _make_witness(L: AffineSubspace, H: Optional[AffineMap], R: LinearSubspace, I: IndexSet) -> NearBentWitness:
+    """Witness for (L, H), given R = orthogonal of the pi-image direction of L
+    and I its information set; both depend on L only."""
+    return NearBentWitness(L, H, I, compose_subspace(SubspaceTriple(L, R, H), info_set=I))
 
 
 def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBentWitness:
     """Package one (L, H) pair with its information set and subspace."""
-    return _make_witness(g, L, H, _image_info_set(g.pi, L))
+    image = _image_direction(g.pi, L)
+    return _make_witness(L, H, orthogonal(image), information_set(image))
 
 
 def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
-    """All closest-bent witnesses (L, H), in canonical order."""
-    n = g.n
+    """All closest-bent witnesses (L, H), in canonical order.
+
+    The pi-image of L, R and the information set come from the solver once
+    per L and are shared by every H of that L.
+    """
     out: list[NearBentWitness] = []
-    for k in range(n + 1):
+    for k in range(g.n + 1):
         for L in image_subspaces(g.pi, k):
             space = h_solution_space(g, L)
+            R = orthogonal(space.image)
             if k == 0:
-                out.append(_make_witness(g, L, None, space.info_set))
+                out.append(_make_witness(L, None, R, space.info_set))
                 continue
             for H in space.maps():
-                out.append(_make_witness(g, L, H, space.info_set))
+                out.append(_make_witness(L, H, R, space.info_set))
     return out
 
 

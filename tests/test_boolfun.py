@@ -2,17 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from mfnear.boolfun import (
     AffineFit,
     TruthTable,
     all_affine_patterns,
+    bent_rows,
     ea_transform,
     hamming_distance,
     indicator_table,
     is_affine_on,
     is_bent,
+    walsh_rows,
     walsh_transform,
     xor_indicator,
 )
@@ -63,6 +66,37 @@ def test_walsh_matches_definition():
         for _ in range(5):
             f = TruthTable(m, rng.getrandbits(1 << m))
             assert list(walsh_transform(f).values) == brute_walsh(f)
+
+
+def definition_walsh_rows(values):
+    """Definition-level spectra of each row, as numpy sums: O(rows 4^m)."""
+    x = np.arange(values.shape[1])
+    ip = np.bitwise_count(x[:, None] & x[None, :]) & 1  # [u, x] -> <u, x>
+    return (1 - 2 * (values[:, None, :] ^ ip[None, :, :]).astype(np.int64)).sum(axis=2)
+
+
+def test_walsh_rows_matches_transform_and_definition():
+    rng = random.Random(3)
+    for m in (2, 4, 6, 8):
+        tables = [TruthTable(m, rng.getrandbits(1 << m)) for _ in range(6)]
+        tables += [inner_product_table(m // 2), TruthTable.zero(m)]
+        values = np.array([t.to_u8() for t in tables])
+        spectra = walsh_rows(values)
+        assert (spectra == definition_walsh_rows(values)).all()
+        for t, row in zip(tables, spectra):
+            assert tuple(row.tolist()) == walsh_transform(t).values
+        flags = bent_rows(values).tolist()
+        assert flags == [is_bent(t) for t in tables]
+        assert flags[-2] and not flags[-1]
+
+
+def test_walsh_rows_shapes():
+    assert walsh_rows(np.zeros((0, 8), dtype=np.uint8)).shape == (0, 8)
+    assert bent_rows(np.zeros((0, 16), dtype=np.uint8)).shape == (0,)
+    with pytest.raises(ValueError):
+        walsh_rows(np.zeros((1, 6), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        bent_rows(np.zeros((1, 8), dtype=np.uint8))
 
 
 def test_parseval_random():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mfnear import cli
+from mfnear import cli, oracle
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,24 @@ def test_near_list_and_parents(capsys):
     assert len(data["parents"]) == 24
 
 
+@pytest.mark.parametrize("index", ["5000", "60", "-1"])
+def test_near_parents_out_of_range_usage_error(capsys, index):
+    rc = cli.main(["near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "list", "--parents", index])
+    assert rc == cli.EXIT_USAGE
+    assert "--parents must be a witness index in 0..59" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(f):
+        raise AssertionError("scan produced a non-bent neighbor")
+
+    monkeypatch.setattr(oracle, "near_brute", broken)
+    rc = cli.main(["near", "--pi", "[0,1,2,3]", "--phi", "0000", "--brute"])
+    assert rc == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: scan produced a non-bent neighbor\n"
+
+
 def test_near_hex_input(capsys):
     rc, out = run_cli(capsys, "near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "realize")
     hex0 = json.loads(out)["realized"][0]
@@ -100,6 +118,21 @@ def test_verify_near_suite(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["outcomes"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_non_positive_trials_usage_error(capsys, trials):
+    rc = cli.main(["verify", "--suite", "near", "--trials", trials, "--seed", "1"])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials must be positive" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["7", "26", "8..4", "0"])
+def test_formulas_bad_two_n_says_why(capsys, spec):
+    rc = cli.main(["formulas", "--two-n", spec])
+    assert rc == cli.EXIT_USAGE
+    assert f"--two-n {spec}: need even values in 2..24" in capsys.readouterr().err
 
 
 def test_sample_near_average(capsys):

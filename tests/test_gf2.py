@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfnear.gf2 import (
     AffineSubspace,
@@ -132,14 +134,33 @@ def test_orthogonal_examples():
     assert BitVector.from_coords((1, 1, 0)).bits in expected
 
 
-def test_orthogonal_involution():
-    rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randrange(2, 9)
-        vecs = [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))]
-        L = LinearSubspace.from_vectors(vecs, n)
-        assert orthogonal(orthogonal(L)) == L
-        assert orthogonal(L).dim == n - L.dim
+
+
+@st.composite
+def vectors_in(draw):
+    """(vectors, width): up to width + 2 arbitrary vectors of Z2^width."""
+    n = draw(st.integers(1, 10))
+    vecs = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    return vecs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors_in())
+def test_from_vectors_equals_validated_rref(case):
+    vecs, n = case
+    rows, pivots = rref_rows(vecs, n)
+    S = LinearSubspace.from_vectors(vecs, n)
+    assert S == LinearSubspace(rows, n)  # the validating constructor accepts it
+    assert S.pivots == pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors_in())
+def test_orthogonal_involution(case):
+    vecs, n = case
+    L = LinearSubspace.from_vectors(vecs, n)
+    assert orthogonal(orthogonal(L)) == L
+    assert orthogonal(L).dim == n - L.dim
 
 
 def test_project_embed_round_trip():

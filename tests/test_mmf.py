@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfnear.boolfun import TruthTable, hamming_distance, is_affine_on, is_bent
 from mfnear.counting import lambda_, sigma
@@ -17,6 +19,7 @@ from mfnear.gf2 import (
     dot,
     enumerate_subspaces,
     gaussian_binomial,
+    linear_subspace_bases,
     random_invertible,
 )
 from mfnear.mmf import (
@@ -120,6 +123,29 @@ def test_compose_decompose_round_trip_all_s42():
     for U in enumerate_subspaces(4, 2):
         Ua = AffineSubspace(0, U)
         assert compose_subspace(decompose_subspace(Ua)) == Ua
+
+
+@st.composite
+def subspace_triples(draw):
+    """A random (L, R, H) with dim L + dim R = n, H given by anchor values."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    direction = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(n, k))), n)
+    L = AffineSubspace.coset(draw(st.integers(0, (1 << n) - 1)), direction)
+    R = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(n, n - k))), n)
+    H = None
+    if k:
+        anchors = [L.base] + [L.base ^ v for v in direction.basis]
+        H = AffineMap.from_values(L, {p: draw(st.integers(0, (1 << k) - 1)) for p in anchors}, k)
+    return SubspaceTriple(L, R, H)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_triples())
+def test_decompose_inverts_compose(t):
+    U = compose_subspace(t)
+    assert U.dim == t.L.ambient and U.ambient == 2 * t.L.ambient
+    assert decompose_subspace(U) == t
 
 
 def test_decompose_census_matches_closed_form():
@@ -314,6 +340,17 @@ def test_witness_stores_info_set_and_subspace():
         assert w.subspace.dim == 3 and w.subspace.ambient == 6
         again = witness(g, w.L, w.H)
         assert again.info_set == w.info_set and again.subspace == w.subspace
+
+
+def test_near_enumerate_witnesses_equal_witness():
+    rng = random.Random(47)
+    for n in (3, 4):
+        for _ in range(2):
+            g = MMFunction.random(n, rng)
+            ws = near_enumerate(g)
+            assert len(ws) == near_count(g)
+            for w in ws:
+                assert w == witness(g, w.L, w.H)
 
 
 def test_coincidence_parents_contains_original():

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from mfnear import counting, oracle
-from mfnear.boolfun import TruthTable, is_bent
+from mfnear import counting, kernels, oracle
+from mfnear.boolfun import TruthTable, is_bent, xor_indicator
 from mfnear.gf2 import AffineSubspace, LinearSubspace, enumerate_subspaces, linear_subspace_bases
 from mfnear.mmf import MMFunction, Permutation, build_mmf, m_subspaces, near_enumerate, realize_near
 
@@ -19,6 +19,43 @@ def test_near_brute_uniform_60_on_sample():
         assert len(neighbors) == 60
         for t in itertools.islice(neighbors, 3):
             assert is_bent(t)
+
+
+def near_brute_per_hit(f):
+    """Reference: one indicator and one Walsh check per kernel hit."""
+    n = f.m // 2
+    spans, reps = oracle.scan_arrays(f.m, n)
+    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps, oracle.affine_lut(n))
+    out = set()
+    for i, j in zip(*hits.nonzero()):
+        U = AffineSubspace.coset(int(reps[i, j]), LinearSubspace.from_vectors(map(int, spans[i]), f.m))
+        g = xor_indicator(f, U)
+        assert is_bent(g)
+        out.add(g)
+    return out
+
+
+def test_near_brute_matches_per_hit_reference():
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            f = build_mmf(MMFunction.random(n, rng))
+            assert oracle.near_brute(f) == near_brute_per_hit(f)
+
+
+def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
+    f = build_mmf(MMFunction.random(2, random.Random(43)))
+    real = kernels.coset_affine_bits
+
+    def one_false_hit(fv, spans, reps, lut):
+        out = real(fv, spans, reps, lut).copy()
+        i, j = np.argwhere(out == 0)[0]  # a coset where f is not affine
+        out[i, j] = 1
+        return out
+
+    monkeypatch.setattr(kernels, "coset_affine_bits", one_false_hit)
+    with pytest.raises(AssertionError, match="non-bent"):
+        oracle.near_brute(f)
 
 
 def test_near_brute_rejects_large():
