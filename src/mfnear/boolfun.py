@@ -68,9 +68,6 @@ class TruthTable:
     def value(self, x: int) -> int:
         return (self.bits >> x) & 1
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if self.m != other.m:
             raise ValueError("size mismatch")

@@ -4,9 +4,9 @@ Subcommands: formulas (closed-form panel per 2n), table (reproduce the
 printed tables), near (per-function neighbor analysis), verify (oracle
 suites, exit 1 on failure), sample (seeded Monte Carlo estimates).
 Output is deterministic for fixed (command, parameters, seed); JSON embeds
-the schema version, the seed and the work counters.  Exit codes: 0 ok,
-1 a verification failed, 2 bad usage (with a message), 3 internal error
-(one line on stderr).
+the schema version, the seed and the work counters.  Exit codes: 0 ok
+(also when the reader closes stdout early), 1 a verification failed,
+2 bad usage (with a message), 3 internal error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Optional
 
-from . import counting, kernels, oracle
+from . import counting, oracle
 from .boolfun import TruthTable, hamming_distance, is_bent
 from .mmf import (
     MMFunction,
@@ -124,6 +124,9 @@ def _parse_function(args) -> tuple[Optional[MMFunction], TruthTable]:
 
 
 def cmd_near(args) -> int:
+    if args.parents is not None and (args.brute or args.mode == "count"):
+        print("--parents needs --mode list or realize, without --brute", file=sys.stderr)
+        return EXIT_USAGE
     g, f = _parse_function(args)
     result: dict = {"schema": SCHEMA, "two_n": f.m}
     if args.brute:
@@ -308,6 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at devnull, so the interpreter's final flush
+    of what is still buffered cannot fail on the closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
@@ -315,6 +330,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed = random.SystemRandom().getrandbits(64)
     try:
         rc = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): a normal end of output
+        _stdout_to_devnull()
+        return EXIT_OK
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

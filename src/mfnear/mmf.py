@@ -328,11 +328,6 @@ def _image_direction(pi: Permutation, L: AffineSubspace) -> LinearSubspace:
     return hull.direction
 
 
-def _image_info_set(pi: Permutation, L: AffineSubspace) -> IndexSet:
-    """Information set of the span of pi(L); L must have an affine image."""
-    return information_set(_image_direction(pi, L))
-
-
 def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     """Solve for all affine H with <H(x), pi_I(x)> xor phi(x) affine on L.
 
@@ -385,43 +380,6 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
         return HSolutionSpace(L, k, image, I, None, ())
     particular, kernel = sol
     return HSolutionSpace(L, k, image, I, particular, tuple(kernel))
-
-
-def dim2_h_maps(g: MMFunction, L: AffineSubspace) -> list[AffineMap]:
-    """The 32 valid H for a dim-2 subspace, via the five-free-bits shape.
-
-    Writing a, b, c for the points of L whose projected images are (0,1),
-    (1,0) and (1,1), the values H(a), H(b) and the first bit of H(c) are
-    free; the second bit of H(c) is the parity of H_2(a), H_1(b), H_1(c)
-    and the phi values over L, and the fourth point takes the affine sum.
-    """
-    if L.dim != 2:
-        raise ValueError("dim L must be 2")
-    I = _image_info_set(g.pi, L)
-    by_proj = {project_bits(g.pi.table[p], I.indices): p for p in L.points()}
-    pa, pb, pc = by_proj[0b10], by_proj[0b01], by_proj[0b11]
-    pd = pa ^ pb ^ pc  # the four points of a 2-flat xor to zero
-    phi_sum = 0
-    for p in L.points():
-        phi_sum ^= g.phi.value(p)
-    out = []
-    for free in range(32):
-        ha = free & 3
-        hb = (free >> 2) & 3
-        hc1 = (free >> 4) & 1
-        hc2 = ((ha >> 1) ^ (hb & 1) ^ hc1 ^ phi_sum) & 1
-        hc = hc1 | (hc2 << 1)
-        values = {pa: ha, pb: hb, pc: hc, pd: ha ^ hb ^ hc}
-        b = L.base
-        anchor_vals = {b: values[b]}
-        for v in L.direction.basis:
-            anchor_vals[b ^ v] = values[b ^ v]
-        h = AffineMap.from_values(L, anchor_vals, 2)
-        # the affine extension must reproduce the determined fourth value
-        assert all(h.evaluate(p) == values[p] for p in L.points())
-        out.append(h)
-    out.sort(key=lambda h: (h.matrix.rows, h.constant.bits))
-    return out
 
 
 @dataclass(frozen=True)

@@ -281,29 +281,7 @@ def _confirm_parent(gt: TruthTable, fp: TruthTable) -> bool:
     return is_affine_on(fp, hull) is not None
 
 
-def _parent_scan_small(g: MMFunction, L: AffineSubspace, gt: TruthTable) -> list[tuple[tuple[int, ...], int]]:
-    """Exhaustive scan over candidates agreeing with (pi, phi) off L, |L| = 4."""
-    pts = sorted(L.points())
-    imgs = [g.pi.table[p] for p in pts]
-    found = []
-    for order in itertools.permutations(range(4)):
-        table = list(g.pi.table)
-        for idx, p in enumerate(pts):
-            table[p] = imgs[order[idx]]
-        pi2 = Permutation(tuple(table), g.n)
-        for sel in range(16):
-            phi_bits = g.phi.bits
-            for idx, p in enumerate(pts):
-                if ((g.phi.bits >> p) & 1) != ((sel >> idx) & 1):
-                    phi_bits ^= 1 << p
-            phi2 = TruthTable(g.n, phi_bits)
-            fp = build_mmf(MMFunction(pi2, phi2))
-            if _confirm_parent(gt, fp):
-                found.append((pi2.table, phi_bits))
-    return found
-
-
-def _parent_scan_full(g: MMFunction, L: AffineSubspace, gt: TruthTable) -> list[tuple[tuple[int, ...], int]]:
+def _parent_scan(g: MMFunction, L: AffineSubspace, gt: TruthTable) -> list[tuple[tuple[int, ...], int]]:
     """Branch-and-bound scan over all candidates agreeing off L, any |L|.
 
     Candidates reorder the image multiset on L and choose phi bits there;
@@ -387,7 +365,7 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
         H = maps[rng.randrange(len(maps))]
         w = witness(g, L, H)
         gt = realize_near(g, w)
-        scan = _parent_scan_small(g, L, gt)
+        scan = _parent_scan(g, L, gt)
         scanned += 1
         if len(scan) != 24:
             return _timed(
@@ -431,7 +409,7 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
         g, L3, H3 = _sample_function_with_dim3(n, rng)
         w3 = witness(g, L3, H3)
         gt3 = realize_near(g, w3)
-        scan3 = _parent_scan_full(g, L3, gt3)
+        scan3 = _parent_scan(g, L3, gt3)
         controls += 1
         if scan3 != [(g.pi.table, g.phi.bits)]:
             return _timed(

@@ -1,6 +1,10 @@
 """CLI contract: parsing, output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,41 @@ def test_near_parents_out_of_range_usage_error(capsys, index):
     rc = cli.main(["near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "list", "--parents", index])
     assert rc == cli.EXIT_USAGE
     assert "--parents must be a witness index in 0..59" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--mode", "count"], ["--mode", "realize", "--brute"]])
+def test_near_parents_without_witness_list_usage_error(capsys, extra):
+    rc = cli.main(["near", "--pi", "[0,1,2,3]", "--phi", "0000", *extra, "--parents", "5"])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--parents needs --mode list or realize" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["formulas", "--two-n", "2..20", "--format", "json"],
+    ["near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "realize", "--brute"],
+])
+def test_closed_stdout_is_normal_end(capsys, monkeypatch, argv):
+    def closed(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys.stdout, "write", closed)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # keep output in the buffer the final flush writes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mfnear.cli", "table", "4", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert err == b""
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

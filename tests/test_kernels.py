@@ -1,59 +1,76 @@
-"""Backend parity: the compiled kernels must match the numpy fallback."""
+"""The coset kernel against the affinity definition, and its two entry points
+against each other."""
 
 import random
 
 import numpy as np
 import pytest
 
-from mfnear import _kernels_py, kernels
+from mfnear import kernels
 from mfnear.boolfun import TruthTable, is_affine_on
 from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
+from mfnear.mmf import MMFunction, build_mmf
 from mfnear.scan import affine_lut, scan_arrays
-
-try:
-    from mfnear import _kernels as compiled
-except ImportError:
-    compiled = None
 
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
+    assert kernels.BACKEND == "python"
 
 
-def _case(m, k, seed):
+def _inputs(m, seed):
+    """A random table, an MF function and an affine function, as uint8 arrays."""
     rng = random.Random(seed)
+    rand = np.array([rng.getrandbits(1) for _ in range(1 << m)], dtype=np.uint8)
+    mf = build_mmf(MMFunction.random(m // 2, rng)).to_u8()
+    a = rng.randrange(1, 1 << m)
+    affine = np.array([(a & x).bit_count() & 1 for x in range(1 << m)], dtype=np.uint8)
+    return {"random": rand, "mf": mf, "affine": affine}
+
+
+def _check_cells(f_arr, m, k, cells):
+    """Each listed (row, coset) flag equals is_affine_on on that coset."""
     spans, reps = scan_arrays(m, k)
-    f = np.array([rng.getrandbits(1) for _ in range(1 << m)], dtype=np.uint8)
-    return f, spans, reps, affine_lut(k)
-
-
-@pytest.mark.parametrize("m,k", [(4, 2), (6, 3), (6, 2), (8, 4)])
-def test_backends_agree(m, k):
-    if compiled is None:
-        pytest.skip("compiled extension not built")
-    f, spans, reps, lut = _case(m, k, seed=m * 10 + k)
-    a = compiled.coset_affine_bits(f, spans, reps, lut)
-    b = _kernels_py.coset_affine_bits(f, spans, reps, lut)
-    assert np.array_equal(a, b)
-    c = compiled.coset_affine_all(f, spans, reps, lut)
-    d = _kernels_py.coset_affine_all(f, spans, reps, lut)
-    assert np.array_equal(c, d)
+    bits = kernels.coset_affine_bits(f_arr, spans, reps, affine_lut(k))
+    f = TruthTable.from_u8(f_arr, m)
+    bases = linear_subspace_bases(m, k)
+    directions = {}
+    for i, j in cells:
+        if i not in directions:
+            directions[i] = LinearSubspace(bases[i], m)
+        U = AffineSubspace.coset(int(reps[i, j]), directions[i])
+        assert bool(bits[i, j]) == (is_affine_on(f, U) is not None), (m, k, i, j)
 
 
 def test_kernel_matches_affinity_primitive():
-    # each flagged (subspace, coset) pair must agree with is_affine_on
-    rng = random.Random(99)
-    m, k = 6, 3
-    f_arr, spans, reps, lut = _case(m, k, seed=7)
-    f = TruthTable.from_u8(f_arr, m)
-    bits = kernels.coset_affine_bits(f_arr, spans, reps, lut)
-    bases = linear_subspace_bases(m, k)
-    idx = list(zip(*bits.nonzero())) + [
-        (rng.randrange(len(bases)), rng.randrange(reps.shape[1])) for _ in range(200)
-    ]
-    for i, j in idx:
-        U = AffineSubspace.coset(int(reps[i, j]), LinearSubspace(bases[i], m))
-        assert bool(bits[i, j]) == (is_affine_on(f, U) is not None)
+    for m, k in [(4, 2), (6, 2), (6, 3)]:
+        spans, reps = scan_arrays(m, k)
+        every = [(i, j) for i in range(reps.shape[0]) for j in range(reps.shape[1])]
+        for f in _inputs(m, seed=m * 10 + k).values():
+            _check_cells(f, m, k, every)
+    # (8, 4): every hit, plus random cells for the misses; the affine input
+    # is left out, as all of its 3.2M cells are hits
+    rng = random.Random(84)
+    spans, reps = scan_arrays(8, 4)
+    inputs = _inputs(8, seed=84)
+    for f in (inputs["random"], inputs["mf"]):
+        hits = kernels.coset_affine_bits(f, spans, reps, affine_lut(4)).nonzero()
+        cells = list(zip(*hits)) + [
+            (rng.randrange(reps.shape[0]), rng.randrange(reps.shape[1])) for _ in range(500)
+        ]
+        _check_cells(f, 8, 4, cells)
+
+
+@pytest.mark.parametrize("m,k", [(6, 2), (6, 3), (8, 2), (8, 3), (8, 4)])
+def test_all_equals_bits_all(m, k):
+    spans, reps = scan_arrays(m, k)
+    lut = affine_lut(k)
+    for name, f in _inputs(m, seed=m * 10 + k).items():
+        bits = kernels.coset_affine_bits(f, spans, reps, lut)
+        every = kernels.coset_affine_all(f, spans, reps, lut)
+        assert bits.dtype == every.dtype == np.uint8
+        assert bits.shape == reps.shape and every.shape == (reps.shape[0],)
+        assert np.array_equal(every, bits.all(axis=1)), name
+    assert every.all()  # the affine input passes every row through the filter
 
 
 def test_scan_array_shapes():
