@@ -16,18 +16,13 @@ from .boolfun import (
 from .gf2 import (
     AffineMap,
     AffineSubspace,
-    BitVector,
     Gf2Matrix,
-    IndexSet,
     LinearSubspace,
     affine_hull_or_none,
-    embed,
     enumerate_subspaces,
     gaussian_binomial,
     information_set,
     orthogonal,
-    project,
-    rref,
 )
 from .kernels import BACKEND
 from .mmf import (

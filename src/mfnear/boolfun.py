@@ -12,13 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .gf2 import (
-    AffineMap,
-    AffineSubspace,
-    BitVector,
-    Gf2Matrix,
-    dot,
-)
+from .gf2 import AffineSubspace, Gf2Matrix, dot
 
 MAX_VARS = 16
 
@@ -103,12 +97,12 @@ class WalshSpectrum:
 class AffineFit:
     """Witness that f equals <linear_part, x> xor constant on the domain."""
 
-    linear_part: BitVector
+    linear_part: int
     constant: int
     domain: Optional[AffineSubspace] = None
 
     def evaluate(self, x: int) -> int:
-        return dot(self.linear_part.bits, x) ^ self.constant
+        return dot(self.linear_part, x) ^ self.constant
 
 
 def walsh_rows(values: np.ndarray) -> np.ndarray:
@@ -168,7 +162,7 @@ def is_affine_on(f: TruthTable, U: AffineSubspace) -> Optional[AffineFit]:
     for x in U.points():
         if f.value(x) != dot(a, x) ^ c:
             return None
-    return AffineFit(BitVector(a, f.m), c, U)
+    return AffineFit(a, c, U)
 
 
 def indicator_table(U: AffineSubspace, m: int) -> TruthTable:
@@ -188,7 +182,7 @@ def xor_indicator(f: TruthTable, U: AffineSubspace) -> TruthTable:
 def ea_transform(
     f: TruthTable,
     A: Gf2Matrix,
-    a: BitVector | int = 0,
+    a: int = 0,
     h: Optional[AffineFit] = None,
 ) -> TruthTable:
     """Extended-affine image g(x) = f(xA xor a) xor h(x)."""
@@ -197,17 +191,16 @@ def ea_transform(
         raise ValueError("matrix shape mismatch")
     if not A.is_invertible():
         raise ValueError("singular matrix")
-    shift = a.bits if isinstance(a, BitVector) else a
     size = 1 << m
     imgs = np.zeros(size, dtype=np.uint32)
     for j in range(m):
         half = 1 << j
         imgs[half : 2 * half] = imgs[:half] ^ np.uint32(A.rows[j])
-    idx = imgs ^ np.uint32(shift)
+    idx = imgs ^ np.uint32(a)
     vals = f.to_u8()[idx]
     if h is not None:
         x = np.arange(size, dtype=np.uint32)
-        hv = (np.bitwise_count(x & np.uint32(h.linear_part.bits)) & 1).astype(np.uint8)
+        hv = (np.bitwise_count(x & np.uint32(h.linear_part)) & 1).astype(np.uint8)
         vals = vals ^ hv ^ np.uint8(h.constant)
     return TruthTable.from_u8(vals, m)
 

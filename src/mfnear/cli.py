@@ -18,11 +18,10 @@ import json
 import os
 import random
 import sys
-import time
 from typing import Optional
 
 from . import counting, oracle
-from .boolfun import TruthTable, hamming_distance, is_bent
+from .boolfun import TruthTable, is_bent
 from .mmf import (
     MMFunction,
     Permutation,
@@ -157,9 +156,9 @@ def cmd_near(args) -> int:
                     "dim": w.L.dim,
                     "L_base": w.L.base,
                     "L_basis": list(w.L.direction.basis),
-                    "info_set": list(w.info_set.indices),
+                    "info_set": list(w.info_set),
                     "H_matrix": list(w.H.matrix.rows) if w.H else [],
-                    "H_constant": w.H.constant.bits if w.H else 0,
+                    "H_constant": w.H.constant if w.H else 0,
                 }
                 for w in witnesses
             ]
@@ -178,7 +177,7 @@ def cmd_near(args) -> int:
                     "pi": list(p.table),
                     "phi": "".join(str(phi.value(y)) for y in range(1 << g.n)),
                     "H_matrix": list(h.matrix.rows),
-                    "H_constant": h.constant.bits,
+                    "H_constant": h.constant,
                 }
                 for p, phi, h in coincidence_parents(g, w)
             ]
@@ -205,30 +204,8 @@ def _run_suite(name: str, seed: int, trials: int) -> list[oracle.VerificationOut
             oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
         ]
     if name == "near":
-        return [_verify_near_equality(seed=seed, trials=trials)]
+        return [oracle.verify_near_equality(trials=trials, seed=seed)]
     raise ValueError(f"unknown suite {name!r}")
-
-
-def _near_sets_match(g: MMFunction) -> bool:
-    f = build_mmf(g)
-    realized = {realize_near(g, w).bits for w in near_enumerate(g)}
-    brute = {t.bits for t in oracle.near_brute(f)}
-    return realized == brute
-
-
-def _verify_near_equality(seed: int, trials: int) -> oracle.VerificationOutcome:
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    results = [_near_sets_match(MMFunction.random(3, rng)) for _ in range(trials)]
-    ok = all(results)
-    bad = results.index(False) if not ok else None
-    return oracle.VerificationOutcome(
-        "criterion vs brute near sets at 2n=6",
-        ok,
-        {"functions": trials},
-        None if ok else f"function #{bad} disagrees",
-        time.perf_counter() - t0,
-    )
 
 
 def cmd_verify(args) -> int:

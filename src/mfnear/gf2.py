@@ -1,9 +1,11 @@
 """GF(2) linear algebra on bit-packed vectors.
 
-Vectors x = (x_1, ..., x_n) are stored as plain ints with x_1 in the least
-significant bit, so int(x) = sum x_i * 2^(i-1).  Matrices are tuples of row
-ints sharing a common width.  Subspaces carry a reduced-row-echelon basis,
-which makes every subspace representation canonical and hashable.
+Vectors x = (x_1, ..., x_n) are plain ints with x_1 in the least
+significant bit, so int(x) = sum x_i * 2^(i-1).  Gf2Matrix is the one
+matrix type: a tuple of row ints sharing a common width.  Subspaces carry a
+reduced-row-echelon basis, which makes every subspace representation
+canonical and hashable.  An information set is a tuple of 1-based pivot
+columns, increasing.  Every Gaussian elimination goes through rref_rows.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from typing import Iterable, Iterator, Optional
 MAX_WIDTH = 16
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def dot(x: int, y: int) -> int:
     """Inner product <x, y> over GF(2)."""
     return (x & y).bit_count() & 1
@@ -28,48 +26,6 @@ def dot(x: int, y: int) -> int:
 def _check_width(width: int) -> None:
     if not 0 < width <= MAX_WIDTH:
         raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Element of Z2^n packed into an int, x_1 = least significant bit."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for width {self.width}")
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVector":
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(bits, len(coords))
-
-    def coord(self, i: int) -> int:
-        """Coordinate x_i, 1-based."""
-        if not 1 <= i <= self.width:
-            raise IndexError(i)
-        return (self.bits >> (i - 1)) & 1
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.width))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return BitVector(self.bits ^ other.bits, self.width)
-
-    def __int__(self) -> int:
-        return self.bits
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.to_tuple())
 
 
 @dataclass(frozen=True)
@@ -88,14 +44,6 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(tuple(1 << i for i in range(n)), n)
-
-    @classmethod
-    def from_vectors(cls, vecs: Iterable[BitVector]) -> "Gf2Matrix":
-        vecs = list(vecs)
-        if not vecs:
-            raise ValueError("need at least one row to infer width")
-        width = vecs[0].width
-        return cls(tuple(v.bits for v in vecs), width)
 
     @property
     def row_count(self) -> int:
@@ -119,24 +67,11 @@ class Gf2Matrix:
         n = self.width
         if self.row_count != n:
             raise ValueError("not square")
-        # Gauss-Jordan on [M | I] packed as rows of width 2n.
-        aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        out = []
-        for col in range(n):
-            mask = 1 << col
-            src = next((i for i, v in enumerate(aug) if v & mask), None)
-            if src is None:
-                raise ValueError("singular matrix")
-            piv = aug.pop(src)
-            aug = [v ^ piv if v & mask else v for v in aug]
-            out = [v ^ piv if v & mask else v for v in out]
-            out.append(piv)
-        # out[i] has exactly bit i set in the low half
-        inv = [0] * n
-        for v in out:
-            i = (v & ((1 << n) - 1)).bit_length() - 1
-            inv[i] = v >> n
-        return Gf2Matrix(tuple(inv), n)
+        # [M | I] packed as rows of width 2n reduces to [I | M^-1]
+        rows, pivots = rref_rows((r | (1 << (n + i)) for i, r in enumerate(self.rows)), 2 * n)
+        if pivots[-1] != n:
+            raise ValueError("singular matrix")
+        return Gf2Matrix(tuple(r >> n for r in rows), n)
 
 
 def rref_rows(rows: Iterable[int], width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,37 +99,6 @@ def rref_rows(rows: Iterable[int], width: int) -> tuple[tuple[int, ...], tuple[i
     return tuple(out), tuple(pivots)
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing subset of {1, ..., n} with its mask form."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_width(self.n)
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be strictly increasing")
-        if self.indices and not (1 <= self.indices[0] and self.indices[-1] <= self.n):
-            raise ValueError("indices out of range")
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << (i - 1)
-        return m
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def complement(self) -> "IndexSet":
-        return IndexSet(tuple(i for i in range(1, self.n + 1) if i not in set(self.indices)), self.n)
-
-
 def project_bits(x: int, indices: tuple[int, ...]) -> int:
     """Extract coordinates (x_{i_1}, ..., x_{i_k}) into a width-k int."""
     y = 0
@@ -209,20 +113,6 @@ def embed_bits(y: int, indices: tuple[int, ...]) -> int:
     for j, i in enumerate(indices):
         x |= ((y >> j) & 1) << (i - 1)
     return x
-
-
-def project(x: BitVector, I: IndexSet) -> BitVector:
-    if x.width != I.n:
-        raise ValueError("width mismatch")
-    if not I.indices:
-        raise ValueError("cannot project onto an empty index set")
-    return BitVector(project_bits(x.bits, I.indices), len(I.indices))
-
-
-def embed(y: BitVector, I: IndexSet) -> BitVector:
-    if y.width != len(I.indices):
-        raise ValueError("width mismatch")
-    return BitVector(embed_bits(y.bits, I.indices), I.n)
 
 
 @dataclass(frozen=True)
@@ -343,19 +233,19 @@ class AffineMap:
     """
 
     matrix: Gf2Matrix
-    constant: BitVector
+    constant: int
     domain: Optional[AffineSubspace] = None
 
     def __post_init__(self) -> None:
-        if self.matrix.width != self.constant.width:
-            raise ValueError("matrix width and constant width differ")
+        if not 0 <= self.constant < (1 << self.matrix.width):
+            raise ValueError("constant out of range for the matrix width")
 
     @property
     def codomain_width(self) -> int:
-        return self.constant.width
+        return self.matrix.width
 
     def evaluate(self, x: int) -> int:
-        return self.matrix.mul_vec(x) ^ self.constant.bits
+        return self.matrix.mul_vec(x) ^ self.constant
 
     def __call__(self, x: int) -> int:
         return self.evaluate(x)
@@ -378,7 +268,7 @@ class AffineMap:
             rows[piv] = values[b ^ v] ^ h0
         matrix = Gf2Matrix(tuple(rows), width)
         const = matrix.mul_vec(b) ^ h0
-        return cls(matrix, BitVector(const, width), domain)
+        return cls(matrix, const, domain)
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -394,15 +284,10 @@ def gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-def rref(M: Gf2Matrix) -> tuple[Gf2Matrix, IndexSet]:
-    rows, pivots = rref_rows(M.rows, M.width)
-    return Gf2Matrix(rows, M.width), IndexSet(pivots, M.width)
-
-
-def information_set(U: AffineSubspace | LinearSubspace) -> IndexSet:
+def information_set(U: AffineSubspace | LinearSubspace) -> tuple[int, ...]:
     """Deterministic information set: pivot columns of the direction rref."""
     direction = U.direction if isinstance(U, AffineSubspace) else U
-    return IndexSet(direction.pivots, direction.ambient)
+    return direction.pivots
 
 
 def orthogonal(L: LinearSubspace) -> LinearSubspace:
@@ -487,7 +372,7 @@ def affine_hull_or_none(points: Iterable[int], ambient: int) -> Optional[AffineS
     rows, _ = rref_rows((p ^ b for p in pts), ambient)
     if (1 << len(rows)) != len(pts):
         return None
-    return AffineSubspace.coset(b, LinearSubspace(rows, ambient))
+    return AffineSubspace.coset(b, LinearSubspace._from_rref(rows, ambient))
 
 
 def solve_linear(rows: list[int], rhs: list[int], width: int) -> Optional[tuple[int, list[int]]]:
@@ -518,43 +403,25 @@ def solve_linear(rows: list[int], rhs: list[int], width: int) -> Optional[tuple[
     return particular, kernel
 
 
-def coset_rep_on(x: int, space: LinearSubspace, I: IndexSet) -> int:
+def coset_rep_on(x: int, space: LinearSubspace, I: tuple[int, ...]) -> int:
     """The unique element of x + space supported on I.
 
     Requires the complement of I to be an information set of `space`.
     """
-    comp = I.complement().indices
-    target = project_bits(x, comp)
-    rows = [project_bits(b, comp) for b in space.basis]
-    # invert the projected basis: find the combination matching target
-    sol = solve_linear_combination(rows, target)
+    # unknown: the combination c of basis rows that matches x off I
+    comp = [c for c in range(space.ambient) if c + 1 not in I]
+    sol = solve_linear(
+        [sum(((b >> c) & 1) << j for j, b in enumerate(space.basis)) for c in comp],
+        [(x >> c) & 1 for c in comp],
+        space.dim,
+    )
     if sol is None:
         raise ValueError("complement of I is not an information set of the space")
     r = 0
     for j, b in enumerate(space.basis):
-        if (sol >> j) & 1:
+        if (sol[0] >> j) & 1:
             r ^= b
     return x ^ r
-
-
-def solve_linear_combination(rows: list[int], target: int) -> Optional[int]:
-    """Coefficients c with xor of c-selected rows == target, if any."""
-    basis: list[tuple[int, int]] = []  # (vector, combination)
-    for j, row in enumerate(rows):
-        comb = 1 << j
-        for v, c in basis:
-            if row & (v & -v):
-                row ^= v
-                comb ^= c
-        if row:
-            basis.append((row, comb))
-            basis.sort(key=lambda t: t[0] & -t[0])
-    comb = 0
-    for v, c in basis:
-        if target & (v & -v):
-            target ^= v
-            comb ^= c
-    return comb if target == 0 else None
 
 
 def random_invertible(n: int, rng) -> Gf2Matrix:

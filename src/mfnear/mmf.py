@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import kernels
 from .boolfun import TruthTable, indicator_table, is_affine_on
@@ -23,7 +23,6 @@ from .gf2 import (
     AffineMap,
     AffineSubspace,
     Gf2Matrix,
-    IndexSet,
     LinearSubspace,
     affine_hull_or_none,
     coset_rep_on,
@@ -189,9 +188,9 @@ def image_subspaces(pi: Permutation, k: int) -> list[AffineSubspace]:
 class SubspaceTriple:
     """Decomposition of an n-dimensional subspace of Z2^2n.
 
-    The subspace is { (embed(H(y), I) xor z, y) : y in L, z in R } with
-    I the information set of the orthogonal of R.  H is None exactly when
-    dim L = 0.
+    The subspace is { (embed_bits(H(y), I) xor z, y) : y in L, z in R }
+    with I = information_set(orthogonal(R)), a tuple of 1-based pivot
+    columns.  H is None exactly when dim L = 0.
     """
 
     L: AffineSubspace
@@ -210,8 +209,12 @@ class SubspaceTriple:
             raise ValueError("H must map into Z2^(dim L)")
 
 
-def compose_subspace(t: SubspaceTriple, info_set: Optional[IndexSet] = None) -> AffineSubspace:
-    """Build the n-dimensional subspace of Z2^2n named by the triple."""
+def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = None) -> AffineSubspace:
+    """Build the n-dimensional subspace of Z2^2n named by the triple.
+
+    `info_set` defaults to information_set(orthogonal(t.R)); a caller that
+    already has it (one per L) passes it in.
+    """
     n = t.L.ambient
     k = t.L.dim
     I = info_set if info_set is not None else information_set(orthogonal(t.R))
@@ -221,9 +224,9 @@ def compose_subspace(t: SubspaceTriple, info_set: Optional[IndexSet] = None) -> 
     rows = []
     if k:
         hb = t.H.evaluate(b)
-        x0 = embed_bits(hb, I.indices)
+        x0 = embed_bits(hb, I)
         for v in t.L.direction.basis:
-            dx = embed_bits(t.H.evaluate(b ^ v) ^ hb, I.indices)
+            dx = embed_bits(t.H.evaluate(b ^ v) ^ hb, I)
             rows.append(dx | (v << n))
     else:
         x0 = 0
@@ -242,20 +245,14 @@ def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
         raise ValueError("subspace dimension must be n")
     low_mask = (1 << n) - 1
 
-    # R = direction(U) intersected with the x-side: eliminate y-columns.
-    work = list(U.direction.basis)
-    for col in range(n, 2 * n):
-        mask = 1 << col
-        src = next((i for i, v in enumerate(work) if v & mask), None)
-        if src is None:
-            continue
-        piv = work.pop(src)
-        work = [v ^ piv if v & mask else v for v in work]
-    R = LinearSubspace.from_vectors((v & low_mask for v in work if v), n)
-
+    # With the y-bits rotated low, rref puts the rows with a y-part first:
+    # their y-parts are an rref basis of L's direction, and the rows without
+    # one are an rref basis of R = direction(U) intersected with the x-side.
+    rows, _ = rref_rows(((v >> n) | ((v & low_mask) << n) for v in U.direction.basis), 2 * n)
+    R = LinearSubspace._from_rref(tuple(r >> n for r in rows if not r & low_mask), n)
     L = AffineSubspace.coset(
         U.base >> n,
-        LinearSubspace.from_vectors((row >> n for row in U.direction.basis), n),
+        LinearSubspace._from_rref(tuple(r & low_mask for r in rows if r & low_mask), n),
     )
     k = L.dim
     if k + R.dim != n:
@@ -269,7 +266,7 @@ def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
         fiber.setdefault(pt >> n, pt & low_mask)
     b = L.base
     anchors = [b] + [b ^ v for v in L.direction.basis]
-    values = {y: project_bits(coset_rep_on(fiber[y], R, I), I.indices) for y in anchors}
+    values = {y: project_bits(coset_rep_on(fiber[y], R, I), I) for y in anchors}
     H = AffineMap.from_values(L, values, k)
     return SubspaceTriple(L, R, H)
 
@@ -282,13 +279,13 @@ class HSolutionSpace:
     (base, base xor basis rows); `particular` and `kernel` are coefficient
     vectors there.  Empty solution set has particular None.  `image` is the
     direction of the pi-image of the domain and `info_set` its information
-    set.
+    set, a tuple of 1-based pivot columns.
     """
 
     domain: AffineSubspace
     width: int
     image: LinearSubspace
-    info_set: IndexSet
+    info_set: tuple[int, ...]
     particular: Optional[int]
     kernel: tuple[int, ...]
 
@@ -316,7 +313,7 @@ class HSolutionSpace:
                 if (sel >> j) & 1:
                     coeff ^= kv
             out.append(self._coeff_to_map(coeff))
-        out.sort(key=lambda h: (h.matrix.rows, h.constant.bits))
+        out.sort(key=lambda h: (h.matrix.rows, h.constant))
         return out
 
 
@@ -341,21 +338,13 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     I = information_set(image)
     if k == 0:
         return HSolutionSpace(L, 0, image, I, 0, ())
-    b = L.base
-    basis = L.direction.basis
     width = k * (k + 1)
 
-    # projected images and phi values at all span combinations
-    cvec = [0] * (1 << k)
-    fval = [0] * (1 << k)
-    pts = [0] * (1 << k)
-    pts[0] = b
-    for eps in range(1 << k):
-        if eps:
-            low = eps & -eps
-            pts[eps] = pts[eps ^ low] ^ basis[low.bit_length() - 1]
-        cvec[eps] = project_bits(g.pi.table[pts[eps]], I.indices)
-        fval[eps] = g.phi.value(pts[eps])
+    # projected images and phi values at all span combinations: point eps
+    # of L.points() is the base xor the basis rows selected by eps's bits
+    pts = L.points()
+    cvec = [project_bits(g.pi.table[p], I) for p in pts]
+    fval = [g.phi.value(p) for p in pts]
 
     rows: list[int] = []
     rhs: list[int] = []
@@ -387,16 +376,19 @@ class NearBentWitness:
     """One (L, H) pair naming a closest bent function to f_(pi, phi).
 
     The realized subspace U of Z2^2n and the information set used for the
-    embedding are stored at creation, so realizations stay reproducible.
+    embedding (a tuple of 1-based pivot columns) are stored at creation, so
+    realizations stay reproducible.
     """
 
     L: AffineSubspace
     H: Optional[AffineMap]
-    info_set: IndexSet
+    info_set: tuple[int, ...]
     subspace: AffineSubspace
 
 
-def _make_witness(L: AffineSubspace, H: Optional[AffineMap], R: LinearSubspace, I: IndexSet) -> NearBentWitness:
+def _make_witness(
+    L: AffineSubspace, H: Optional[AffineMap], R: LinearSubspace, I: tuple[int, ...]
+) -> NearBentWitness:
     """Witness for (L, H), given R = orthogonal of the pi-image direction of L
     and I its information set; both depend on L only."""
     return NearBentWitness(L, H, I, compose_subspace(SubspaceTriple(L, R, H), info_set=I))
@@ -480,8 +472,8 @@ def coincidence_parents(
         phi_bits = g.phi.bits
         h_values: dict[int, int] = {}
         for p in pts:
-            old = project_bits(g.pi.table[p], I.indices)
-            new = project_bits(pi2.table[p], I.indices)
+            old = project_bits(g.pi.table[p], I)
+            new = project_bits(pi2.table[p], I)
             delta = old ^ new
             same = 1 if pi2.table[p] == g.pi.table[p] else 0
             hp = w.H.evaluate(p)
@@ -552,7 +544,7 @@ def member_of_mf_u(g: MMFunction, U: AffineSubspace) -> bool:
         if span != r_orth:
             return False
         vals = {
-            a ^ p: dot(H.evaluate(p), project_bits(g.pi.table[a ^ p], I.indices))
+            a ^ p: dot(H.evaluate(p), project_bits(g.pi.table[a ^ p], I))
             ^ g.phi.value(a ^ p)
             for p in lpts
         }

@@ -45,8 +45,11 @@ from .gf2 import (
 from .mmf import (
     MMFunction,
     Permutation,
+    SubspaceTriple,
+    _ip_blocks,
     build_mmf,
     coincidence_parents,
+    compose_subspace,
     h_solution_space,
     image_subspaces,
     near_count,
@@ -161,6 +164,26 @@ def near_brute_count(f: TruthTable) -> int:
     return int(hits.sum())
 
 
+def verify_near_equality(trials: int, seed: int) -> VerificationOutcome:
+    """The criterion's realized neighbours equal the brute scan's, as sets,
+    on seeded random MF functions at 2n = 6."""
+    t0 = time.perf_counter()
+    rng = random.Random(seed)
+    results = []
+    for _ in range(trials):
+        g = MMFunction.random(3, rng)
+        realized = {realize_near(g, w).bits for w in near_enumerate(g)}
+        results.append(realized == {t.bits for t in near_brute(build_mmf(g))})
+    ok = all(results)
+    return _timed(
+        "criterion vs brute near sets at 2n=6",
+        ok,
+        {"functions": trials},
+        None if ok else f"function #{results.index(False)} disagrees",
+        t0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # permutation sums
 
@@ -220,13 +243,8 @@ def verify_sum_phiH(k: int, seed: int = 1) -> VerificationOutcome:
     n = k + 1
     candidates = list(enumerate_subspaces(n, k, affine=True))
     L = candidates[rng.randrange(len(candidates))]
-    size = 1 << k
-    basis = L.direction.basis
-    pts = [0] * size
-    pts[0] = L.base
-    for eps in range(1, size):
-        low = eps & -eps
-        pts[eps] = pts[eps ^ low] ^ basis[low.bit_length() - 1]
+    pts = L.points()
+    size = len(pts)
     sigma_vals = list(range(size))
     rng.shuffle(sigma_vals)  # invertible sigma: pts[eps] -> sigma_vals[eps]
 
@@ -294,8 +312,6 @@ def _parent_scan(g: MMFunction, L: AffineSubspace, gt: TruthTable) -> list[tuple
     target = 1 << n
     pts = sorted(L.points())
     imgs = sorted(g.pi.table[p] for p in pts)
-    from .mmf import _ip_blocks
-
     blocks = _ip_blocks(n)
     gblk = [(gt.bits >> (y * size)) & ones for y in pts]
     # cost[y-index][image-index][phi bit]
@@ -619,8 +635,6 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
     onto cosets of the orthogonal of R, and chooses phi so the composite
     condition is affine on every coset.
     """
-    from .mmf import SubspaceTriple, compose_subspace
-
     k = rng.randrange(1, n)  # dim R
     R = _random_linear_subspace(n, k, rng)
     L = _random_linear_subspace(n, n - k, rng)
@@ -664,7 +678,7 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
         c_bit = rng.getrandbits(1)
         for p in lpts:
             x = a ^ p
-            val = dot(H.evaluate(p), project_bits(pi.table[x], I.indices))
+            val = dot(H.evaluate(p), project_bits(pi.table[x], I))
             val ^= dot(w_mask, x) ^ c_bit
             if val:
                 phi_bits |= 1 << x

@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 
 from mfnear.gf2 import (
     AffineSubspace,
-    BitVector,
     Gf2Matrix,
-    IndexSet,
     LinearSubspace,
     affine_hull_or_none,
     coset_rep_on,
-    embed,
     embed_bits,
     enumerate_subspaces,
     gaussian_binomial,
     information_set,
     linear_subspace_bases,
     orthogonal,
-    project,
     project_bits,
     random_invertible,
-    rref,
     rref_rows,
     solve_linear,
 )
@@ -59,17 +54,16 @@ def test_gaussian_binomial_edges():
 
 def test_rref_identity_and_duplicates():
     eye = Gf2Matrix.identity(4)
-    red, piv = rref(eye)
-    assert red == eye and piv.indices == (1, 2, 3, 4)
-    dup = Gf2Matrix((0b101, 0b101), 3)
-    red, piv = rref(dup)
-    assert red.rows == (0b101,) and len(piv) == 1
+    red, piv = rref_rows(eye.rows, 4)
+    assert red == eye.rows and piv == (1, 2, 3, 4)
+    red, piv = rref_rows((0b101, 0b101), 3)
+    assert red == (0b101,) and piv == (1,)
 
 
 def test_rref_span_preserved():
     # rows 011 and 101 in x1..x3 coordinates
-    r1 = BitVector.from_coords((0, 1, 1)).bits
-    r2 = BitVector.from_coords((1, 0, 1)).bits
+    r1 = 0b110
+    r2 = 0b101
     rows, pivots = rref_rows((r1, r2), 3)
     assert len(rows) == 2 and len(pivots) == 2
     span = {0}
@@ -80,16 +74,14 @@ def test_rref_span_preserved():
 
 def test_information_set_examples():
     full = AffineSubspace(0, LinearSubspace.full(4))
-    assert information_set(full).indices == (1, 2, 3, 4)
+    assert information_set(full) == (1, 2, 3, 4)
     point = AffineSubspace.from_point(5, 4)
-    assert information_set(point).indices == ()
-    d = LinearSubspace.from_vectors(
-        (BitVector.from_coords((1, 1, 0)).bits, BitVector.from_coords((0, 0, 1)).bits), 3
-    )
+    assert information_set(point) == ()
+    d = LinearSubspace.from_vectors((0b011, 0b100), 3)  # (1, 1, 0) and (0, 0, 1)
     I = information_set(d)
-    assert I.indices == (1, 3)
+    assert I == (1, 3)
     # projection onto the information set covers Z2^2
-    proj = {project_bits(p, I.indices) for p in d.points()}
+    proj = {project_bits(p, I) for p in d.points()}
     assert proj == set(range(4))
 
 
@@ -98,7 +90,7 @@ def test_information_set_surjective_everywhere():
         for k in range(n + 1):
             for L in enumerate_subspaces(n, k):
                 I = information_set(L)
-                proj = {project_bits(p, I.indices) for p in L.points()}
+                proj = {project_bits(p, I) for p in L.points()}
                 assert proj == set(range(1 << k))
 
 
@@ -124,14 +116,14 @@ def test_information_set_duality():
 def test_orthogonal_examples():
     zero = LinearSubspace.zero(3)
     assert orthogonal(zero) == LinearSubspace.full(3)
-    L = LinearSubspace.from_vectors((BitVector.from_coords((1, 1, 0)).bits,), 3)
+    L = LinearSubspace.from_vectors((0b011,), 3)  # (1, 1, 0)
     perp = orthogonal(L)
     assert perp.dim == 2
     # brute scan over all 8 vectors
     expected = {y for y in range(8) if all((y & x).bit_count() % 2 == 0 for x in L.points())}
     assert set(perp.points()) == expected
-    assert BitVector.from_coords((0, 0, 1)).bits in expected
-    assert BitVector.from_coords((1, 1, 0)).bits in expected
+    assert 0b100 in expected  # (0, 0, 1)
+    assert 0b011 in expected  # (1, 1, 0)
 
 
 
@@ -166,29 +158,19 @@ def test_orthogonal_involution(case):
 def test_project_embed_round_trip():
     rng = random.Random(1)
     for _ in range(50):
-        I = IndexSet(tuple(sorted(rng.sample(range(1, 9), 3))), 8)
+        I = tuple(sorted(rng.sample(range(1, 9), 3)))
         for y in range(8):
-            yv = BitVector(y, 3)
-            assert project(embed(yv, I), I) == yv
+            assert project_bits(embed_bits(y, I), I) == y
 
 
 def test_project_example():
-    x = BitVector.from_coords((1, 0, 1, 1, 0))
-    I = IndexSet((2, 5), 5)
-    assert project(x, I).to_tuple() == (0, 0)
+    x = 0b01101  # (1, 0, 1, 1, 0)
+    assert project_bits(x, (2, 5)) == 0
+    assert project_bits(x, (1, 3, 4)) == 0b111
 
 
 def test_embed_example():
-    y = BitVector.from_coords((1, 1))
-    I = IndexSet((1, 4), 4)
-    assert embed(y, I).bits == 0b1001
-
-
-def test_project_width_mismatch():
-    with pytest.raises(ValueError):
-        project(BitVector(0, 3), IndexSet((1, 2), 4))
-    with pytest.raises(ValueError):
-        embed(BitVector(0, 3), IndexSet((1, 2), 4))
+    assert embed_bits(0b11, (1, 4)) == 0b1001
 
 
 def test_enumerate_counts_match_closed_forms():
@@ -287,8 +269,8 @@ def test_coset_rep_on():
         x = rng.getrandbits(n)
         rep = coset_rep_on(x, space, I)
         assert space.contains(rep ^ x)
-        comp = I.complement()
-        assert project_bits(rep, comp.indices) == 0
+        comp = tuple(i for i in range(1, n + 1) if i not in I)
+        assert project_bits(rep, comp) == 0
 
 
 def test_matrix_inverse():
@@ -301,10 +283,76 @@ def test_matrix_inverse():
             assert Minv.mul_vec(M.mul_vec(x)) == x
 
 
-def test_bitvector_validation():
+
+# ---------------------------------------------------------------------------
+# properties of the eliminations built on rref_rows
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, width) with width <= 8 and up to width + 3 equations."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=width + 3))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, width
+
+
+def _satisfies(x, rows, rhs):
+    return all((r & x).bit_count() & 1 == b for r, b in zip(rows, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_brute_force(system):
+    rows, rhs, width = system
+    brute = [x for x in range(1 << width) if _satisfies(x, rows, rhs)]
+    sol = solve_linear(rows, rhs, width)
+    if sol is None:
+        assert brute == []
+        return
+    part, kernel = sol
+    assert len(kernel) == width - len(rref_rows(rows, width)[0])
+    coset = set()
+    for sel in range(1 << len(kernel)):
+        x = part
+        for j, kv in enumerate(kernel):
+            if (sel >> j) & 1:
+                x ^= kv
+        assert _satisfies(x, rows, rhs)
+        coset.add(x)
+    assert coset == set(brute)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32))
+def test_inverse_times_matrix_is_identity(n, seed):
+    M = random_invertible(n, random.Random(seed))
+    Minv = M.inverse()
+    product = tuple(Minv.mul_vec(row) for row in M.rows)  # row i of M . M^-1
+    assert product == Gf2Matrix.identity(n).rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32))
+def test_inverse_raises_on_singular(n, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(n - 1)]
+    dependent = 0
+    for r in rows:
+        if rng.getrandbits(1):
+            dependent ^= r
+    rows.insert(rng.randrange(n), dependent)
     with pytest.raises(ValueError):
-        BitVector(4, 2)
-    with pytest.raises(ValueError):
-        BitVector(0, 17)
-    v = BitVector.from_coords((1, 0, 1))
-    assert v.bits == 0b101 and v.coord(1) == 1 and v.coord(2) == 0
+        Gf2Matrix(tuple(rows), n).inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors_in(), st.integers(0, (1 << 10) - 1))
+def test_coset_rep_on_lies_in_coset_and_on_info_set(case, x):
+    vecs, n = case
+    x &= (1 << n) - 1
+    space = LinearSubspace.from_vectors(vecs, n)
+    I = information_set(orthogonal(space))
+    rep = coset_rep_on(x, space, I)
+    assert space.contains(rep ^ x)
+    assert all(not (rep >> (c - 1)) & 1 for c in range(1, n + 1) if c not in I)

@@ -147,6 +147,22 @@ def test_decompose_inverts_compose(t):
     assert decompose_subspace(U) == t
 
 
+@st.composite
+def half_dim_subspaces(draw):
+    """A random n-dim affine subspace of Z2^2n, n <= 3."""
+    n = draw(st.integers(1, 3))
+    direction = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(2 * n, n))), 2 * n)
+    return AffineSubspace.coset(draw(st.integers(0, (1 << (2 * n)) - 1)), direction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_dim_subspaces())
+def test_decompose_r_is_direction_cap_x_side(U):
+    n = U.ambient // 2
+    x_part = {p for p in U.direction.points() if not p >> n}
+    assert set(decompose_subspace(U).R.points()) == x_part
+
+
 def test_decompose_census_matches_closed_form():
     # number of U in S(2n, n) with dim(U cap x-side) = k
     for n in (2, 3):
@@ -205,7 +221,7 @@ def brute_h_count(g, L):
             values[b ^ v] = (coeff >> ((i + 1) * k)) & mask
         H = AffineMap.from_values(L, values, k)
         comp = {
-            p: dot(H.evaluate(p), project_bits(g.pi.table[p], I.indices)) ^ g.phi.value(p)
+            p: dot(H.evaluate(p), project_bits(g.pi.table[p], I)) ^ g.phi.value(p)
             for p in L.points()
         }
         c0 = comp[b]
@@ -232,8 +248,8 @@ def test_h_solution_dim3_matches_brute():
     space = h_solution_space(g, L)
     brute = brute_h_count(g, L)
     assert space.count == len(brute) == 512
-    got = {(h.matrix.rows, h.constant.bits) for h in space.maps()}
-    assert got == {(h.matrix.rows, h.constant.bits) for h in brute}
+    got = {(h.matrix.rows, h.constant) for h in space.maps()}
+    assert got == {(h.matrix.rows, h.constant) for h in brute}
     # a couple of random functions on the same full-space L
     rng = random.Random(33)
     for _ in range(3):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfnear import counting, kernels, oracle
 from mfnear.boolfun import TruthTable, is_bent, xor_indicator
@@ -56,6 +58,28 @@ def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
     monkeypatch.setattr(kernels, "coset_affine_bits", one_false_hit)
     with pytest.raises(AssertionError, match="non-bent"):
         oracle.near_brute(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2**32))
+def test_criterion_equals_oracle_random(n, seed):
+    g = MMFunction.random(n, random.Random(seed))
+    assert {realize_near(g, w) for w in near_enumerate(g)} == oracle.near_brute(build_mmf(g))
+
+
+def test_verify_near_equality_reports_disagreement(monkeypatch):
+    real = oracle.near_brute
+    calls = []
+
+    def wrong_on_second(f):
+        calls.append(f)
+        found = real(f)
+        return found if len(calls) != 2 else set(list(found)[1:])
+
+    monkeypatch.setattr(oracle, "near_brute", wrong_on_second)
+    out = oracle.verify_near_equality(trials=3, seed=5)
+    assert not out.passed
+    assert out.witness == "function #1 disagrees"
 
 
 def test_near_brute_rejects_large():
