@@ -415,7 +415,7 @@ def coset_rep_on(x: int, space: LinearSubspace, I: tuple[int, ...]) -> int:
         [(x >> c) & 1 for c in comp],
         space.dim,
     )
-    if sol is None:
+    if sol is None or sol[1]:  # no element, or more than one, of x + space is supported on I
         raise ValueError("complement of I is not an information set of the space")
     r = 0
     for j, b in enumerate(space.basis):

@@ -273,6 +273,15 @@ def test_coset_rep_on():
         assert project_bits(rep, comp) == 0
 
 
+def test_coset_rep_on_raises_off_information_set():
+    # complement of I = (2,) is not an information set of <0b01>: x + space
+    # has either no element supported on I (x = 0b10) or two of them
+    space = LinearSubspace.from_vectors([0b01], 2)
+    for x in range(4):
+        with pytest.raises(ValueError):
+            coset_rep_on(x, space, (1,))
+
+
 def test_matrix_inverse():
     rng = random.Random(13)
     for _ in range(50):

@@ -1,7 +1,10 @@
-"""The coset kernel against the affinity definition, and its two entry points
-against each other."""
+"""The coset kernel against the affinity definition, its two entry points
+against each other, the compiled backend against the numpy reference, and
+the build, fallback and bounds checks of the compiled backend."""
 
 import random
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -13,8 +16,15 @@ from mfnear.mmf import MMFunction, build_mmf
 from mfnear.scan import affine_lut, scan_arrays
 
 
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
+
+
 def test_backend_reported():
-    assert kernels.BACKEND == "python"
+    # with a compiler on PATH a fallback is a failure, not a quiet slowdown
+    if shutil.which("cc"):
+        assert kernels.BACKEND == "compiled" and kernels.FALLBACK_REASON is None
+    else:
+        assert kernels.BACKEND == "python" and kernels.FALLBACK_REASON
 
 
 def _inputs(m, seed):
@@ -81,3 +91,85 @@ def test_scan_array_shapes():
     assert lut.sum() == 16  # 2^(k+1) affine patterns
     with pytest.raises(ValueError):
         affine_lut(5)
+
+
+@needs_cc
+@pytest.mark.parametrize("m,k", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 3), (8, 4)])
+def test_compiled_equals_numpy(m, k):
+    spans, reps = scan_arrays(m, k)
+    lut = affine_lut(k)
+    for name, f in _inputs(m, seed=m * 10 + k).items():
+        for compiled, reference in [(kernels.coset_affine_bits, kernels._numpy_bits),
+                                    (kernels.coset_affine_all, kernels._numpy_all)]:
+            got, want = compiled(f, spans, reps, lut), reference(f, spans, reps, lut)
+            assert got.dtype == want.dtype and got.shape == want.shape, (name, compiled.__name__)
+            assert np.array_equal(got, want), (name, compiled.__name__)
+
+
+@pytest.mark.parametrize("case", ["no cc", "cc fails", "cache not writable"])
+def test_fallback_reason_and_results(monkeypatch, tmp_path, case):
+    spans, reps = scan_arrays(6, 3)
+    lut = affine_lut(3)
+    f = _inputs(6, seed=5)["mf"]
+    expected = (kernels._numpy_bits(f, spans, reps, lut), kernels._numpy_all(f, spans, reps, lut))
+    cache = tmp_path / "cache"
+    if case == "no cc":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        cause = "cc is not on PATH"
+    elif case == "cc fails":
+        false = shutil.which("false")
+        monkeypatch.setattr(shutil, "which", lambda name: false)
+        cause = "cc failed with exit 1"
+    else:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        cache.write_text("")  # a file where the cache directory should be
+        cache = cache / "sub"
+        cause = "NotADirectoryError"
+    lib, reason = kernels._load(str(cache))
+    assert lib is None and cause in reason and "\n" not in reason
+    assert not list(tmp_path.glob("**/_scan_kernel-*"))  # no library, no temp file
+    monkeypatch.setattr(kernels, "_LIB", lib)
+    assert np.array_equal(kernels.coset_affine_bits(f, spans, reps, lut), expected[0])
+    assert np.array_equal(kernels.coset_affine_all(f, spans, reps, lut), expected[1])
+
+
+@needs_cc
+def test_build_leaves_one_library(tmp_path):
+    lib, reason = kernels._load(str(tmp_path))
+    assert lib is not None and reason is None
+    names = [p.name for p in tmp_path.iterdir()]
+    assert len(names) == 1 and names[0].startswith("_scan_kernel-") and names[0].endswith(".so")
+    again, _ = kernels._load(str(tmp_path))  # a second load reuses the library
+    assert again is not None and [p.name for p in tmp_path.iterdir()] == names
+
+
+@needs_cc
+def test_kernel_source_compiles_without_warnings():
+    run = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                         input=kernels._SOURCE, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("entry", ["coset_affine_bits", "coset_affine_all", "_numpy_bits", "_numpy_all"])
+def test_index_outside_f_raises(entry):
+    fn = getattr(kernels, entry)
+    spans, reps = scan_arrays(6, 3)
+    lut = affine_lut(3)
+    f = _inputs(6, seed=6)["affine"]  # affine on every coset, so every point is read
+    bad_reps = reps.copy()
+    bad_reps[0, 1] = f.size
+    with pytest.raises(IndexError):
+        fn(f[:-1], spans, reps, lut)
+    with pytest.raises(IndexError):
+        fn(f, spans, bad_reps, lut)
+
+
+def test_mismatched_inputs_raise():
+    spans, reps = scan_arrays(6, 3)
+    f = _inputs(6, seed=7)["mf"]
+    for fn in (kernels.coset_affine_bits, kernels.coset_affine_all):
+        with pytest.raises(ValueError):
+            fn(f, spans, reps, affine_lut(2))
+        with pytest.raises(ValueError):
+            fn(f, spans, reps[1:], affine_lut(3))
