@@ -7,7 +7,6 @@ from .boolfun import (
     WalshSpectrum,
     ea_transform,
     hamming_distance,
-    indicator_table,
     is_affine_on,
     is_bent,
     walsh_transform,

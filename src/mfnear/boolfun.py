@@ -165,18 +165,14 @@ def is_affine_on(f: TruthTable, U: AffineSubspace) -> Optional[AffineFit]:
     return AffineFit(a, c, U)
 
 
-def indicator_table(U: AffineSubspace, m: int) -> TruthTable:
-    if U.ambient != m:
-        raise ValueError("subspace does not live in the function domain")
-    bits = 0
-    for p in U.points():
-        bits |= 1 << p
-    return TruthTable(m, bits)
-
-
 def xor_indicator(f: TruthTable, U: AffineSubspace) -> TruthTable:
     """f xor the characteristic function of U."""
-    return f ^ indicator_table(U, f.m)
+    if U.ambient != f.m:
+        raise ValueError("subspace does not live in the function domain")
+    bits = f.bits
+    for p in U.points():
+        bits ^= 1 << p
+    return TruthTable(f.m, bits)
 
 
 def ea_transform(

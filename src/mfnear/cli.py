@@ -112,6 +112,8 @@ def _parse_function(args) -> tuple[Optional[MMFunction], TruthTable]:
     if args.pi is None or args.phi is None:
         raise ValueError("give --pi and --phi, or --hex with --two-n")
     table = json.loads(args.pi)
+    if not isinstance(table, list) or not all(type(v) is int for v in table):
+        raise ValueError("--pi must be a JSON array of ints")
     n = (len(table)).bit_length() - 1
     pi = Permutation(tuple(table), n)
     phi_str = args.phi.strip()

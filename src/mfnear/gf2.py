@@ -313,7 +313,12 @@ MAX_ENUM_AMBIENT = 8
 
 @lru_cache(maxsize=None)
 def linear_subspace_bases(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All rref bases of k-dimensional subspaces of Z2^n, in canonical order."""
+    """All rref bases of k-dimensional subspaces of Z2^n, in canonical order.
+
+    The order is by pivot columns (itertools.combinations order), then by
+    the row tuple read from the last row to the first, so row 0's free bits
+    vary fastest.  scan_arrays and m_subspaces index into this order.
+    """
     if not 0 <= k <= n <= MAX_ENUM_AMBIENT:
         raise ValueError(f"need 0 <= k <= n <= {MAX_ENUM_AMBIENT}")
     if k == 0:
@@ -321,20 +326,17 @@ def linear_subspace_bases(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     result = []
     for pivots in itertools.combinations(range(n), k):
         pivset = set(pivots)
-        # free positions per row: columns above its pivot that are not pivots
-        free = [[c for c in range(p + 1, n) if c not in pivset] for p in pivots]
-        counts = [len(f) for f in free]
-        for assign in range(1 << sum(counts)):
-            rows = []
-            off = 0
-            for i, p in enumerate(pivots):
-                row = 1 << p
-                for j, c in enumerate(free[i]):
-                    if (assign >> (off + j)) & 1:
-                        row |= 1 << c
-                rows.append(row)
-                off += counts[i]
-            result.append(tuple(rows))
+        # each row's values, increasing: its pivot plus every subset of its
+        # free columns (columns above the pivot that are not pivots)
+        choices = []
+        for p in pivots:
+            vals = [1 << p]
+            for c in range(p + 1, n):
+                if c not in pivset:
+                    vals += [v | (1 << c) for v in vals]
+            choices.append(vals)
+        # row 0 varies fastest
+        result.extend(t[::-1] for t in itertools.product(*choices[::-1]))
     return tuple(result)
 
 

@@ -8,6 +8,8 @@ subspace L of Z2^n whose pi-image is again a subspace, plus an affine map
 H: L -> Z2^(dim L) subject to one affinity condition.  This module builds
 the functions, enumerates the (L, H) witnesses, realizes the neighbors,
 and decides membership in the per-subspace classes MF_U.
+One point formula for U (_triple_points) is behind compose_subspace, the
+witness subspace and realize_near; only witness() re-checks a caller's H.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import kernels
-from .boolfun import TruthTable, indicator_table, is_affine_on
+from .boolfun import TruthTable, is_affine_on
 from .gf2 import (
     AffineMap,
     AffineSubspace,
@@ -209,31 +211,31 @@ class SubspaceTriple:
             raise ValueError("H must map into Z2^(dim L)")
 
 
+def _triple_points(L: AffineSubspace, R: LinearSubspace, H: Optional[AffineMap], I: tuple[int, ...]) -> list[int]:
+    """The 2^n points (embed_bits(H(y), I) xor z, y), y in L and z in R, of Z2^2n:
+    the base point spanned by L's rows with H's differences, then by R's rows."""
+    n = L.ambient
+    b = L.base
+    hb = H.evaluate(b) if H is not None else 0
+    pts = [(b << n) | embed_bits(hb, I)]
+    for v in L.direction.basis:
+        step = (v << n) | embed_bits(H.evaluate(b ^ v) ^ hb, I)
+        pts += [p ^ step for p in pts]
+    for z in R.basis:
+        pts += [p ^ z for p in pts]
+    return pts
+
+
 def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = None) -> AffineSubspace:
     """Build the n-dimensional subspace of Z2^2n named by the triple.
 
     `info_set` defaults to information_set(orthogonal(t.R)); a caller that
     already has it (one per L) passes it in.
     """
-    n = t.L.ambient
-    k = t.L.dim
     I = info_set if info_set is not None else information_set(orthogonal(t.R))
-    if len(I) != k:
+    if len(I) != t.L.dim:
         raise ValueError("information set size must equal dim L")
-    b = t.L.base
-    rows = []
-    if k:
-        hb = t.H.evaluate(b)
-        x0 = embed_bits(hb, I)
-        for v in t.L.direction.basis:
-            dx = embed_bits(t.H.evaluate(b ^ v) ^ hb, I)
-            rows.append(dx | (v << n))
-    else:
-        x0 = 0
-    for w in t.R.basis:
-        rows.append(w)
-    base = x0 | (b << n)
-    return AffineSubspace.coset(base, LinearSubspace.from_vectors(rows, 2 * n))
+    return affine_hull_or_none(_triple_points(t.L, t.R, t.H, I), 2 * t.L.ambient)
 
 
 def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
@@ -375,29 +377,30 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
 class NearBentWitness:
     """One (L, H) pair naming a closest bent function to f_(pi, phi).
 
-    The realized subspace U of Z2^2n and the information set used for the
-    embedding (a tuple of 1-based pivot columns) are stored at creation, so
-    realizations stay reproducible.
+    R is the orthogonal of the pi-image direction of L and info_set its
+    information set (a tuple of 1-based pivot columns); both depend on L
+    only and are stored at creation, so realizations stay reproducible.
+    The subspace U of Z2^2n is derived from (L, H, info_set, R) on demand.
     """
 
     L: AffineSubspace
     H: Optional[AffineMap]
     info_set: tuple[int, ...]
-    subspace: AffineSubspace
+    R: LinearSubspace
 
-
-def _make_witness(
-    L: AffineSubspace, H: Optional[AffineMap], R: LinearSubspace, I: tuple[int, ...]
-) -> NearBentWitness:
-    """Witness for (L, H), given R = orthogonal of the pi-image direction of L
-    and I its information set; both depend on L only."""
-    return NearBentWitness(L, H, I, compose_subspace(SubspaceTriple(L, R, H), info_set=I))
+    @property
+    def subspace(self) -> AffineSubspace:
+        return compose_subspace(SubspaceTriple(self.L, self.R, self.H), info_set=self.info_set)
 
 
 def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBentWitness:
-    """Package one (L, H) pair with its information set and subspace."""
+    """Package a caller's (L, H) pair with its information set and R; raises
+    ValueError unless f is affine on the subspace (a closest bent neighbor)."""
     image = _image_direction(g.pi, L)
-    return _make_witness(L, H, orthogonal(image), information_set(image))
+    w = NearBentWitness(L, H, information_set(image), orthogonal(image))
+    if is_affine_on(build_mmf(g), w.subspace) is None:
+        raise ValueError("witness subspace is not an affinity subspace of f")
+    return w
 
 
 def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
@@ -411,11 +414,7 @@ def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
         for L in image_subspaces(g.pi, k):
             space = h_solution_space(g, L)
             R = orthogonal(space.image)
-            if k == 0:
-                out.append(_make_witness(L, None, R, space.info_set))
-                continue
-            for H in space.maps():
-                out.append(_make_witness(L, H, R, space.info_set))
+            out += [NearBentWitness(L, H, space.info_set, R) for H in (space.maps() if k else [None])]
     return out
 
 
@@ -438,13 +437,10 @@ def near_count(g: MMFunction) -> int:
 
 
 def realize_near(g: MMFunction, w: NearBentWitness) -> TruthTable:
-    """The bent function f xor 1_U named by the witness."""
-    f = build_mmf(g)
-    if w.subspace.dim != g.n or w.subspace.ambient != 2 * g.n:
-        raise ValueError("witness subspace has the wrong shape")
-    if is_affine_on(f, w.subspace) is None:
-        raise ValueError("witness subspace is not an affinity subspace of f")
-    return f ^ indicator_table(w.subspace, f.m)
+    """The bent function f xor 1_U named by a witness of g from near_enumerate
+    or witness(); it is not re-checked here."""
+    bits = sum(1 << p for p in _triple_points(w.L, w.R, w.H, w.info_set))
+    return build_mmf(g) ^ TruthTable(2 * w.L.ambient, bits)
 
 
 def coincidence_parents(

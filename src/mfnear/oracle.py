@@ -371,9 +371,14 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
     (phi', H') parents.
     """
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    scanned = 0
-    controls = 0
+    work = {"trials": 0}
+    failure = _coincidence_failure(random.Random(seed), trials, n, work)
+    return _timed("24-fold coincidence of dim-2 neighbors", failure is None, work, failure, t0)
+
+
+def _coincidence_failure(rng, trials: int, n: int, work: dict) -> Optional[str]:
+    """The first failed check of verify_coincidence as a witness string, or
+    None; counts trials and controls into `work`."""
     for _ in range(trials):
         g, L = _sample_function_with_dim2(n, rng)
         space = h_solution_space(g, L)
@@ -382,66 +387,34 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
         w = witness(g, L, H)
         gt = realize_near(g, w)
         scan = _parent_scan(g, L, gt)
-        scanned += 1
+        work["trials"] += 1
         if len(scan) != 24:
-            return _timed(
-                "24-fold coincidence of dim-2 neighbors",
-                False,
-                {"trials": scanned},
-                f"scan found {len(scan)} parents",
-                t0,
-            )
+            return f"scan found {len(scan)} parents"
         if (g.pi.table, g.phi.bits) not in scan:
-            return _timed(
-                "24-fold coincidence of dim-2 neighbors",
-                False,
-                {"trials": scanned},
-                "original function missing from parent scan",
-                t0,
-            )
+            return "original function missing from parent scan"
         formula = coincidence_parents(g, w)
         formula_keys = {(p.table, phi.bits) for p, phi, _ in formula}
         if formula_keys != set(scan):
-            return _timed(
-                "24-fold coincidence of dim-2 neighbors",
-                False,
-                {"trials": scanned},
-                "formula parents differ from scanned parents",
-                t0,
-            )
+            return "formula parents differ from scanned parents"
         for pi2, phi2, h2 in formula:
             g2 = MMFunction(pi2, phi2)
-            w2 = witness(g2, L, h2)
+            try:
+                w2 = witness(g2, L, h2)
+            except ValueError as exc:
+                return f"formula parent pi'={list(pi2.table)} phi'={phi2.to_hex()}: H' is not a witness ({exc})"
             if realize_near(g2, w2).bits != gt.bits:
-                return _timed(
-                    "24-fold coincidence of dim-2 neighbors",
-                    False,
-                    {"trials": scanned},
-                    "formula parent does not realize the same function",
-                    t0,
-                )
+                return "formula parent does not realize the same function"
     # dim >= 3 control: the parent is unique
+    work["controls"] = 0
     for _ in range(max(1, trials // 10)):
         g, L3, H3 = _sample_function_with_dim3(n, rng)
         w3 = witness(g, L3, H3)
         gt3 = realize_near(g, w3)
         scan3 = _parent_scan(g, L3, gt3)
-        controls += 1
+        work["controls"] += 1
         if scan3 != [(g.pi.table, g.phi.bits)]:
-            return _timed(
-                "24-fold coincidence of dim-2 neighbors",
-                False,
-                {"trials": scanned, "controls": controls},
-                f"dim-3 control found {len(scan3)} parents",
-                t0,
-            )
-    return _timed(
-        "24-fold coincidence of dim-2 neighbors",
-        True,
-        {"trials": scanned, "controls": controls},
-        None,
-        t0,
-    )
+            return f"dim-3 control found {len(scan3)} parents"
+    return None
 
 
 def _sample_function_with_dim2(n: int, rng) -> tuple[MMFunction, AffineSubspace]:

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v` (add -s for the PASS lines).
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

@@ -12,7 +12,6 @@ from mfnear.boolfun import (
     bent_rows,
     ea_transform,
     hamming_distance,
-    indicator_table,
     is_affine_on,
     is_bent,
     walsh_rows,

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mfnear import cli, oracle
+from mfnear import cli, mmf, oracle
+from mfnear.gf2 import AffineMap, Gf2Matrix
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,46 @@ def test_near_hex_input(capsys):
 def test_near_rejects_non_bijection(capsys):
     rc = cli.main(["near", "--pi", "[0,0,1,2]", "--phi", "0000"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("pi", ["5", "null", "[[0],[1]]", "[true,false,2,3]", "[0.0,1,2,3]", '"0123"'])
+def test_near_rejects_pi_not_int_array(capsys, pi):
+    rc = cli.main(["near", "--pi", pi, "--phi", "0000"])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--pi must be a JSON array of ints" in captured.err
+
+
+def _flip_constant(h):
+    return AffineMap(h.matrix, h.constant ^ 1, h.domain)
+
+
+def _flip_matrix(h):
+    # flip one entry on a pivot row of the domain, so H' changes on L
+    piv = (h.domain.direction.basis[0] & -h.domain.direction.basis[0]).bit_length() - 1
+    rows = list(h.matrix.rows)
+    rows[piv] ^= 1
+    return AffineMap(Gf2Matrix(tuple(rows), h.matrix.width), h.constant, h.domain)
+
+
+@pytest.mark.parametrize("flip, why", [
+    # a constant shift of a dim-2 H' is again a witness, of another U
+    (_flip_constant, "formula parent does not realize the same function"),
+    (_flip_matrix, "H' is not a witness"),
+])
+def test_verify_coincidence_reports_a_wrong_parent(capsys, monkeypatch, flip, why):
+    def one_wrong_parent(g, w):
+        parents = mmf.coincidence_parents(g, w)
+        pi2, phi2, h2 = parents[-1]
+        parents[-1] = (pi2, phi2, flip(h2))
+        return parents
+
+    monkeypatch.setattr(oracle, "coincidence_parents", one_wrong_parent)
+    out = oracle.verify_coincidence(trials=2, seed=1)
+    assert not out.passed and why in out.witness
+    rc = cli.main(["verify", "--suite", "coincidence", "--seed", "1", "--trials", "2"])
+    assert rc == cli.EXIT_VERIFY_FAIL == 1
+    assert why in json.loads(capsys.readouterr().out)["outcomes"][0]["witness"]
 
 
 def test_verify_census_deterministic(capsys):

@@ -202,6 +202,21 @@ def test_enumerate_rejects_out_of_range():
         linear_subspace_bases(4, 5)
 
 
+def test_linear_subspace_bases_order():
+    # every k-tuple of nonzero rows that is its own rref, sorted by pivot
+    # columns and then by the rows read last to first (row 0 fastest)
+    for n, kmax in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 3)):
+        for k in range(1, kmax + 1):
+            ref = [
+                rows
+                for rows in itertools.product(range(1, 1 << n), repeat=k)
+                if rref_rows(rows, n)[0] == rows
+            ]
+            ref.sort(key=lambda rows: (tuple((r & -r).bit_length() for r in rows), rows[::-1]))
+            assert list(linear_subspace_bases(n, k)) == ref, (n, k)
+            assert len(ref) == gaussian_binomial(n, k)
+
+
 def test_affine_hull_examples():
     U = affine_hull_or_none([5], 4)
     assert U is not None and U.dim == 0 and U.points() == [5]

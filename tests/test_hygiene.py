@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused import, no unreferenced definition.
+"""Source hygiene: no unused import in the package or the tests, no
+unreferenced definition in the package.
 
 Both checks read the source with the stdlib ast module.  A name counts as
 used when it appears as a name, an attribute, an import or an identifier
@@ -51,7 +52,7 @@ def _references(tree: ast.Module) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         if path.name == "__init__.py":
             continue  # its imports are the package's public re-exports
         tree = _tree(path)

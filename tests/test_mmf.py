@@ -2,18 +2,16 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfnear.boolfun import TruthTable, hamming_distance, is_affine_on, is_bent
-from mfnear.counting import lambda_, sigma
+from mfnear.boolfun import TruthTable, hamming_distance, is_affine_on, is_bent, xor_indicator
+from mfnear.counting import lambda_
 from mfnear.gf2 import (
     AffineMap,
     AffineSubspace,
-    Gf2Matrix,
     LinearSubspace,
     affine_hull_or_none,
     dot,
@@ -350,6 +348,37 @@ def test_witness_stores_info_set_and_subspace():
         assert w.subspace.dim == 3 and w.subspace.ambient == 6
         again = witness(g, w.L, w.H)
         assert again.info_set == w.info_set and again.subspace == w.subspace
+
+
+def test_witness_rejects_h_outside_solutions():
+    rng = random.Random(53)
+    g = MMFunction.random(3, rng)
+    while not image_subspaces(g.pi, 2):
+        g = MMFunction.random(3, rng)
+    f = build_mmf(g)
+    for L in (image_subspaces(g.pi, 2)[0], image_subspaces(g.pi, 3)[0]):
+        k = L.dim
+        anchors = [L.base] + [L.base ^ v for v in L.direction.basis]
+        solutions = h_solution_space(g, L).maps()
+        for values in itertools.product(range(1 << k), repeat=k + 1):
+            H = AffineMap.from_values(L, dict(zip(anchors, values)), k)
+            if H in solutions:
+                assert is_affine_on(f, witness(g, L, H).subspace) is not None
+            else:
+                with pytest.raises(ValueError):
+                    witness(g, L, H)
+
+
+def test_realize_near_is_xor_with_the_witness_subspace():
+    # realize_near does not re-check its witness, so the definition is checked here
+    rng = random.Random(55)
+    samples = [MMFunction.random(n, rng) for n in (3, 3, 4)]
+    for g in itertools.chain(all_mf4(), samples):
+        f = build_mmf(g)
+        for w in near_enumerate(g):
+            U = w.subspace
+            assert U.dim == g.n and is_affine_on(f, U) is not None
+            assert realize_near(g, w) == xor_indicator(f, U)
 
 
 def test_near_enumerate_witnesses_equal_witness():

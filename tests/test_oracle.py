@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from mfnear import counting, kernels, oracle
 from mfnear.boolfun import TruthTable, is_bent, xor_indicator
-from mfnear.gf2 import AffineSubspace, LinearSubspace, enumerate_subspaces, linear_subspace_bases
-from mfnear.mmf import MMFunction, Permutation, build_mmf, m_subspaces, near_enumerate, realize_near
+from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
+from mfnear.mmf import MMFunction, build_mmf, m_subspaces, near_enumerate, realize_near
 
 
 def test_near_brute_uniform_60_on_sample():
