@@ -37,7 +37,7 @@ from .mmf import (
     decompose_subspace,
     h_solution_space,
     image_subspaces,
-    m_subspaces,
+    m_count,
     member_of_mf_u,
     near_count,
     near_enumerate,

@@ -342,14 +342,11 @@ def linear_subspace_bases(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def coset_representatives(basis: tuple[int, ...], n: int) -> list[int]:
     """Canonical coset reps of a subspace: ints supported off the pivots."""
-    nonpivots = [c for c in range(n) if not any((b & -b) == (1 << c) for b in basis)]
-    reps = []
-    for y in range(1 << len(nonpivots)):
-        v = 0
-        for j, c in enumerate(nonpivots):
-            if (y >> j) & 1:
-                v |= 1 << c
-        reps.append(v)
+    pivots = {b & -b for b in basis}
+    reps = [0]
+    for c in range(n):
+        if 1 << c not in pivots:
+            reps += [r | (1 << c) for r in reps]
     return reps
 
 

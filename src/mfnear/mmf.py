@@ -7,9 +7,15 @@ f is affine, and those U are parametrized by pairs (L, H): an affine
 subspace L of Z2^n whose pi-image is again a subspace, plus an affine map
 H: L -> Z2^(dim L) subject to one affinity condition.  This module builds
 the functions, enumerates the (L, H) witnesses, realizes the neighbors,
-and decides membership in the per-subspace classes MF_U.
+decides membership in the per-subspace classes MF_U, and counts
+|M(g)|, the linear n-dim U with f affine on every coset.
 One point formula for U (_triple_points) is behind compose_subspace, the
 witness subspace and realize_near; only witness() re-checks a caller's H.
+One per-L system (_series_equations) is behind member_of_mf_u and m_count:
+a linear U = (L, R, H) is in M(g) iff pi is affine on every coset of L with
+image direction orthogonal(R) and H solves a GF(2) system in k^2 unknowns.
+Nothing here uses the brute-force subspace scan; the oracle module checks
+this criterion against it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from . import kernels
+import numpy as np
+
 from .boolfun import TruthTable, is_affine_on
 from .gf2 import (
     AffineMap,
@@ -33,13 +40,11 @@ from .gf2 import (
     embed_bits,
     enumerate_subspaces,
     information_set,
-    linear_subspace_bases,
     orthogonal,
     project_bits,
     rref_rows,
     solve_linear,
 )
-from .scan import affine_lut, scan_arrays
 
 MAX_N = 8
 
@@ -230,11 +235,14 @@ def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = No
     """Build the n-dimensional subspace of Z2^2n named by the triple.
 
     `info_set` defaults to information_set(orthogonal(t.R)); a caller that
-    already has it (one per L) passes it in.
+    already has it (one per L) passes it in.  It must be strictly increasing
+    within 1..n, with dim L columns.
     """
     I = info_set if info_set is not None else information_set(orthogonal(t.R))
     if len(I) != t.L.dim:
         raise ValueError("information set size must equal dim L")
+    if not all(0 < a < b for a, b in zip(I, I[1:] + (t.L.ambient + 1,))):
+        raise ValueError("information set must be strictly increasing within 1..n")
     return affine_hull_or_none(_triple_points(t.L, t.R, t.H, I), 2 * t.L.ambient)
 
 
@@ -304,10 +312,13 @@ class HSolutionSpace:
             values[b ^ v] = (coeff >> ((i + 1) * k)) & mask
         return AffineMap.from_values(self.domain, values, k)
 
-    def maps(self) -> list[AffineMap]:
-        """All solutions, sorted by (matrix rows, constant)."""
+    def maps(self) -> list[Optional[AffineMap]]:
+        """All solutions, sorted by (matrix rows, constant); [None] for a
+        dim-0 domain, where H is None."""
         if self.particular is None:
             return []
+        if self.width == 0:
+            return [None]
         out = []
         for sel in range(1 << len(self.kernel)):
             coeff = self.particular
@@ -414,7 +425,7 @@ def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
         for L in image_subspaces(g.pi, k):
             space = h_solution_space(g, L)
             R = orthogonal(space.image)
-            out += [NearBentWitness(L, H, space.info_set, R) for H in (space.maps() if k else [None])]
+            out += [NearBentWitness(L, H, space.info_set, R) for H in space.maps()]
     return out
 
 
@@ -492,69 +503,127 @@ def coincidence_parents(
     return parents
 
 
-def _vector_affine_on_coset(values: dict[int, int], base: int, basis: tuple[int, ...]) -> bool:
-    """Check a vector-valued map is affine on base + span(basis)."""
-    c0 = values[base]
-    deltas = [values[base ^ v] ^ c0 for v in basis]
-    for eps in range(1 << len(basis)):
-        x = base
-        expect = c0
-        for i, v in enumerate(basis):
-            if (eps >> i) & 1:
-                x ^= v
-                expect ^= deltas[i]
-        if values[x] != expect:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _anf_masks(k: int) -> tuple[tuple[int, ...], int]:
+    """Moebius-transform masks on 2^k-bit truth tables: per variable i the
+    points with bit i clear, and the monomials of degree 3 or more."""
+    lows = tuple(sum(1 << e for e in range(1 << k) if not (e >> i) & 1) for i in range(k))
+    return lows, sum(1 << e for e in range(1 << k) if e.bit_count() >= 3)
+
+
+def _series_equations(
+    g: MMFunction, basis: tuple[int, ...]
+) -> Optional[tuple[LinearSubspace, list[int], list[int]]]:
+    """The linear system for H on the linear L = span(basis), an rref basis.
+
+    None unless pi is affine on every coset a + L with one image direction W
+    and phi has degree at most 2 on every coset.  Otherwise (W, rows, rhs):
+    a linear H: L -> Z2^k, coded with h_i = H(basis[i]) in bits ik..ik+k-1,
+    makes f affine on every coset of U = (L, orthogonal(W), H) iff
+    <H, row> = rhs for every row.  Per coset and pair i < j the row is
+    <h_i, m_j> xor <h_j, m_i> = the t_i t_j coefficient of the ANF of
+    t -> phi(a + sum t_i basis[i]), with m_j = pi_I(a + basis[j]) xor pi_I(a).
+    """
+    k = len(basis)
+    table = g.pi.table
+    phi = g.phi.bits
+    span = [0]
+    for v in basis:
+        span += [p ^ v for p in span]
+    lows, high = _anf_masks(k)
+    direction: Optional[set[int]] = None
+    cosets: list[tuple[list[int], int]] = []  # per coset: pi's differences along the basis, phi's ANF
+    for a in coset_representatives(basis, g.n):
+        img = [table[a ^ p] for p in span]
+        diffs = [img[1 << i] ^ img[0] for i in range(k)]
+        lin = [img[0]]
+        for d in diffs:
+            lin += [x ^ d for x in lin]
+        if lin != img:
+            return None
+        image = {x ^ img[0] for x in img}
+        if direction is None:
+            direction = image
+        elif image != direction:
+            return None
+        anf = sum(((phi >> (a ^ p)) & 1) << e for e, p in enumerate(span))
+        for i, low in enumerate(lows):
+            anf ^= (anf & low) << (1 << i)
+        if anf & high:
+            return None
+        cosets.append((diffs, anf))
+    W = LinearSubspace.from_vectors(cosets[0][0], g.n)
+    I = W.pivots
+    rows: list[int] = []
+    rhs: list[int] = []
+    for diffs, anf in cosets:
+        m = [project_bits(d, I) for d in diffs]
+        for i, j in itertools.combinations(range(k), 2):
+            rows.append((m[j] << (i * k)) | (m[i] << (j * k)))
+            rhs.append((anf >> ((1 << i) | (1 << j))) & 1)
+    return W, rows, rhs
 
 
 def member_of_mf_u(g: MMFunction, U: AffineSubspace) -> bool:
     """Whether f_(pi, phi) is affine on every coset of the linear U.
 
-    Decided by the coset-series criterion: pi must be affine on every coset
-    of L with image direction equal to the orthogonal of R, and the
-    composite <H(x xor a), pi_I(x)> xor phi(x) must be affine per coset.
+    Decided by the coset-series criterion: U = (L, R, H) qualifies iff
+    _series_equations of L has image direction orthogonal(R) and H solves
+    its system.
     """
     n = g.n
     if U.ambient != 2 * n or not U.is_linear() or U.dim != n:
         raise ValueError("U must be a linear n-dimensional subspace of Z2^2n")
     t = decompose_subspace(U)
-    L, R, H = t.L, t.R, t.H
-    k = L.dim
-    r_orth = orthogonal(R)
-    if k == 0:
+    basis = t.L.direction.basis
+    if not basis:
         # U is the x-side itself: every MF function qualifies
         return True
-    hull = affine_hull_or_none((g.pi.table[p] for p in L.points()), n)
-    if hull is None or hull.direction != r_orth:
+    eq = _series_equations(g, basis)
+    if eq is None or eq[0] != orthogonal(t.R):
         return False
-    I = information_set(hull.direction)
-    lpts = L.direction.points()
-    for a in coset_representatives(L.direction.basis, n):
-        imgs = {a ^ p: g.pi.table[a ^ p] for p in lpts}
-        if not _vector_affine_on_coset(imgs, a, L.direction.basis):
-            return False
-        span = LinearSubspace.from_vectors(
-            (imgs[a ^ p] ^ imgs[a] for p in lpts), n
-        )
-        if span != r_orth:
-            return False
-        vals = {
-            a ^ p: dot(H.evaluate(p), project_bits(g.pi.table[a ^ p], I))
-            ^ g.phi.value(a ^ p)
-            for p in lpts
-        }
-        if not _vector_affine_on_coset(vals, a, L.direction.basis):
-            return False
-    return True
+    k = len(basis)
+    h = sum(t.H.evaluate(b) << (i * k) for i, b in enumerate(basis))
+    return all(dot(h, row) == r for row, r in zip(eq[1], eq[2]))
 
 
-def m_subspaces(f: TruthTable) -> list[LinearSubspace]:
-    """All n-dimensional linear subspaces with f affine on each coset."""
-    if f.m % 2:
-        raise ValueError("f must have an even number of variables")
-    n = f.m // 2
-    spans, reps = scan_arrays(f.m, n)
-    mask = kernels.coset_affine_all(f.to_u8(), spans, reps, affine_lut(n))
-    bases = linear_subspace_bases(f.m, n)
-    return [LinearSubspace(bases[i], f.m) for i in mask.nonzero()[0]]
+def m_count(g: MMFunction) -> int:
+    """|M(g)|: the linear n-dim U with f_(pi, phi) affine on every coset of U.
+
+    Each U is (L, R, H) with L linear.  The x-side (dim L = 0) counts 1; every
+    other L counts its number of linear H solving _series_equations.  Pi is
+    affine on the cosets of L only if D_u D_v pi = 0 for all u, v in L, so
+    every basis of a candidate L is a clique of the graph u ~ v iff
+    D_u D_v pi = 0; the candidates are grown as rref bases, last row first,
+    over that graph.
+    """
+    n = g.n
+    x = np.arange(1 << n)
+    shift = x[:, None] ^ x[None, :]
+    t = np.array(g.pi.table, dtype=np.uint8)  # n <= MAX_N = 8
+    d = t[None, :] ^ t[shift]  # d[u, x] = D_u pi(x)
+    adj = (d[:, shift] == d[:, None, :]).all(axis=2)  # D_u pi(x xor v) = D_u pi(x) for all x
+    nbrs = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(adj, axis=1, bitorder="little")]
+
+    total = 1
+    # (rref basis, common neighbours of its rows, pivot mask with a sentinel
+    # bit n); a new row has its pivot below every pivot of the basis and
+    # zeros at them, so the rows stay rref and each L is visited once
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), (1 << (1 << n)) - 2, 1 << n)]
+    while stack:
+        basis, common, pivots = stack.pop()
+        below = (pivots & -pivots) - 1
+        cand = common
+        while cand:
+            r = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if not r & below or r & pivots:
+                continue
+            grown = (r,) + basis
+            eq = _series_equations(g, grown)
+            if eq is not None:
+                sol = solve_linear(eq[1], eq[2], len(grown) ** 2)
+                if sol is not None:
+                    total += 1 << len(sol[1])
+            stack.append((grown, common & nbrs[r], pivots | (r & -r)))
+    return total

@@ -2,10 +2,12 @@
 
 The verifiers recompute every claim from definitions, using only the gf2
 and boolfun primitives plus the raw scan kernels; the criterion machinery
-in mmf is the thing being checked, never part of the check itself (the
-exceptions are explicitly statistical: sample_near_average draws on the
-criterion-side counter to test the closed formula).  Randomized runs are
-reproducible from (seed, trials) and report exact work counters.
+in mmf is the thing being checked, never part of the check itself.  The
+exceptions are explicitly statistical: sample_near_average and m_census
+draw on the criterion-side counters (mmf.near_count, mmf.m_count) to test
+the closed formulas.  _m_count is the scan reference for |M(f)| that the
+tests check mmf.m_count against.  Randomized runs are reproducible from
+(seed, trials) and report exact work counters.
 
 The brute neighbour scan re-checks its own output: every f xor 1_U it
 finds is verified bent from its Walsh spectrum, all of them at once by one
@@ -52,6 +54,7 @@ from .mmf import (
     compose_subspace,
     h_solution_space,
     image_subspaces,
+    m_count,
     near_count,
     near_enumerate,
     realize_near,
@@ -501,14 +504,25 @@ def near_mf_census(mode: str = "brute") -> VerificationOutcome:
 # coset-series subspace censuses
 
 
-def _m_count(f: TruthTable) -> int:
+def m_subspaces(f: TruthTable) -> list[LinearSubspace]:
+    """All n-dimensional linear subspaces with f affine on each coset, by the
+    coset kernel over all gb(2n, n) of them."""
+    if f.m % 2:
+        raise ValueError("f must have an even number of variables")
     n = f.m // 2
     spans, reps = scan_arrays(f.m, n)
-    return int(kernels.coset_affine_all(f.to_u8(), spans, reps, affine_lut(n)).sum())
+    mask = kernels.coset_affine_all(f.to_u8(), spans, reps, affine_lut(n))
+    bases = linear_subspace_bases(f.m, n)
+    return [LinearSubspace(bases[i], f.m) for i in mask.nonzero()[0]]
+
+
+def _m_count(f: TruthTable) -> int:
+    """|M(f)| by the full subspace scan: the reference for mmf.m_count."""
+    return len(m_subspaces(f))
 
 
 def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1) -> SampleEstimate:
-    """Mean count of coset-series subspaces over MF functions.
+    """Mean count of coset-series subspaces over MF functions, by mmf.m_count.
 
     Full mode (2n = 4 only) averages over all 384 functions and must give
     exactly 15.  Sample mode draws seeded uniform (pi, phi); at 2n = 8 the
@@ -518,7 +532,7 @@ def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1
     if mode == "full":
         if two_n != 4:
             raise ValueError("full census only at 2n = 4")
-        counts = [_m_count(build_mmf(g)) for g in all_mf_functions(2)]
+        counts = [m_count(g) for g in all_mf_functions(2)]
         mean = Fraction(sum(counts), len(counts))
         return SampleEstimate(
             kind="m-size",
@@ -536,7 +550,7 @@ def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1
     rng = random.Random(seed)
     counts = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        counts[t] = _m_count(build_mmf(MMFunction.random(n, rng)))
+        counts[t] = m_count(MMFunction.random(n, rng))
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
     target = float(counting.expected_m(two_n))

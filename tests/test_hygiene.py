@@ -1,5 +1,6 @@
 """Source hygiene: no unused import in the package or the tests, no
-unreferenced definition in the package.
+unreferenced definition in the package, and the criterion module kept off
+the brute-force scan.
 
 Both checks read the source with the stdlib ast module.  A name counts as
 used when it appears as a name, an attribute, an import or an identifier
@@ -74,3 +75,15 @@ def test_every_top_level_definition_is_referenced():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in refs:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def test_criterion_module_does_not_import_the_scan():
+    # the oracle checks mmf against the scan, so mmf must not use it itself
+    imported = set()
+    for node in ast.walk(_tree(PACKAGE / "mmf.py")):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported |= {alias.name for alias in node.names}
+    assert not imported & {"kernels", "scan"}, sorted(imported & {"kernels", "scan"})

@@ -31,13 +31,14 @@ from mfnear.mmf import (
     decompose_subspace,
     h_solution_space,
     image_subspaces,
-    m_subspaces,
+    m_count,
     member_of_mf_u,
     near_count,
     near_enumerate,
     realize_near,
     witness,
 )
+from mfnear import oracle
 
 
 def x_side(n):
@@ -114,6 +115,18 @@ def test_compose_decompose_x_side():
     t = decompose_subspace(U)
     assert t.L.dim == 0 and t.R == LinearSubspace.full(3) and t.H is None
     assert compose_subspace(t) == U
+
+
+def test_compose_rejects_a_bad_info_set():
+    # n = 3, dim L = 2, R = span{e_2}: orthogonal(R) has information set (1, 3),
+    # and H constant 3 puts U's base at embed_bits(3, (1, 3)) = 5
+    L = AffineSubspace(0, LinearSubspace((1, 2), 3))
+    t = SubspaceTriple(L, LinearSubspace((2,), 3), AffineMap.from_values(L, {0: 3, 1: 3, 2: 3}, 2))
+    assert compose_subspace(t).base == 5
+    assert compose_subspace(t, info_set=(1, 3)) == compose_subspace(t)
+    for bad in ((1, 1), (1, 4), (3, 1), (0, 1)):
+        with pytest.raises(ValueError):
+            compose_subspace(t, info_set=bad)
 
 
 def test_compose_decompose_round_trip_all_s42():
@@ -273,6 +286,13 @@ def test_h_solution_sum_over_restrictions():
     assert total == 1 << 9
 
 
+def test_h_solution_dim0_maps_is_none():
+    g = MMFunction.random(3, random.Random(38))
+    space = h_solution_space(g, AffineSubspace.from_point(5, 3))
+    assert space.count == 1
+    assert space.maps() == [None]
+
+
 def test_h_solution_rejects_bad_L():
     rng = random.Random(37)
     while True:
@@ -424,13 +444,47 @@ def test_member_x_side_always():
 
 
 def test_member_agrees_with_definition_on_mf4():
-    from mfnear.oracle import _affine_on_all_cosets
-
     subspaces = list(enumerate_subspaces(4, 2))
     for g in all_mf4():
         f = build_mmf(g)
         for U in subspaces:
-            assert member_of_mf_u(g, AffineSubspace(0, U)) == _affine_on_all_cosets(f, U)
+            assert member_of_mf_u(g, AffineSubspace(0, U)) == oracle._affine_on_all_cosets(f, U)
+
+
+def test_member_agrees_with_scan_at_2n6():
+    # two-series functions have members with dim L = 1, 2; the identity has
+    # members of every dim L
+    rng = random.Random(57)
+    gs = [oracle.construct_two_series(3, rng)[0] for _ in range(2)]
+    gs.append(MMFunction(Permutation.identity(3), TruthTable(3, 0b10010110)))
+    subspaces = list(enumerate_subspaces(6, 3))
+    dims = set()
+    for g in gs:
+        members = {U for U in subspaces if member_of_mf_u(g, AffineSubspace(0, U))}
+        assert members == set(oracle.m_subspaces(build_mmf(g)))
+        dims |= {decompose_subspace(AffineSubspace(0, U)).L.dim for U in members}
+    assert dims == {0, 1, 2, 3}
+
+
+def test_m_count_equals_scan_on_mf4():
+    assert all(m_count(g) == oracle._m_count(build_mmf(g)) for g in all_mf4())
+
+
+@pytest.mark.parametrize("n, trials", [(3, 200), (4, 40)])
+def test_m_count_equals_scan_on_samples(n, trials):
+    rng = random.Random(59 + n)
+    sizes = set()
+    for i in range(trials):
+        g = oracle.construct_two_series(n, rng)[0] if i % 4 == 0 else MMFunction.random(n, rng)
+        c = m_count(g)
+        assert c == oracle._m_count(build_mmf(g))
+        sizes.add(c)
+    assert 1 in sizes and len(sizes) >= 3
+
+
+def test_m_count_identity_pi_at_2n8():
+    g = MMFunction(Permutation.identity(4), TruthTable.zero(4))
+    assert m_count(g) == oracle._m_count(build_mmf(g)) == 2295
 
 
 def test_member_count_for_k1_subspace():
@@ -446,7 +500,7 @@ def test_m_subspaces_inner_product():
     from mfnear.boolfun import TruthTable as TT
 
     f = TT.from_values((dot(i & 3, i >> 2) for i in range(16)), 4)
-    ms = m_subspaces(f)
+    ms = oracle.m_subspaces(f)
     assert x_side(2) in ms
     y_side = LinearSubspace.from_vectors([4, 8], 4)
     assert y_side in ms
@@ -457,7 +511,7 @@ def test_m_subspaces_vs_member_criterion():
     for _ in range(10):
         g = MMFunction.random(2, rng)
         f = build_mmf(g)
-        ms = set(m_subspaces(f))
+        ms = set(oracle.m_subspaces(f))
         crit = {
             U
             for U in enumerate_subspaces(4, 2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mfnear import counting, kernels, oracle
 from mfnear.boolfun import TruthTable, is_bent, xor_indicator
 from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
-from mfnear.mmf import MMFunction, build_mmf, m_subspaces, near_enumerate, realize_near
+from mfnear.mmf import MMFunction, build_mmf, near_enumerate, realize_near
 
 
 def test_near_brute_uniform_60_on_sample():
@@ -140,7 +140,9 @@ def test_mf6_census_by_dedup():
         for y in range(8):
             base |= blocks[table[y]] << (8 * y)
         arr[i * 256 : (i + 1) * 256] = np.uint64(base) ^ phi_masks
-    assert len(np.unique(arr)) == counting.mf_size(3) == 10321920
+    arr.sort()
+    distinct = 1 + int(np.count_nonzero(arr[1:] != arr[:-1]))
+    assert distinct == counting.mf_size(3) == 10321920
 
 
 def test_m_census_full_mean_15():
@@ -164,6 +166,15 @@ def test_m_census_sampled_8():
     assert abs(est.extra["multi_z"]) < 4
 
 
+@pytest.mark.parametrize("seed", [1, 2, 7, 2024])
+def test_m_census_8_is_the_scan_mean(seed):
+    # the census draws the same functions as this loop and counts them by
+    # mmf.m_count; the scan reference must give the same mean
+    rng = random.Random(seed)
+    counts = [oracle._m_count(build_mmf(MMFunction.random(4, rng))) for _ in range(8)]
+    assert oracle.m_census(8, trials=8, seed=seed).mean == float(np.mean(counts))
+
+
 def test_sample_near_average_8():
     est = oracle.sample_near_average(8, trials=150, seed=1)
     assert abs(est.z) < 4
@@ -184,7 +195,7 @@ def test_construct_two_series_properties():
         f = build_mmf(g)
         assert U.is_linear() and U.dim == 4
         assert oracle._affine_on_all_cosets(f, U.direction)
-        ms = m_subspaces(f)
+        ms = oracle.m_subspaces(f)
         assert len(ms) >= 2
 
 
