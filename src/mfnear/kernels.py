@@ -2,28 +2,42 @@
 
 Inputs, shared by both entry points:
 
-- f: uint8 array of length 2^m, the truth table (values 0/1).
-- spans: uint16 (M, 2^k), the span points of each of M subspaces, column t
-  the point with coordinates t in the subspace's basis (column 0 is 0), so
-  columns 0..3 and 0..7 span 2- and 3-dim sub-flats of each coset.
+- f: uint8 array of length 2^m, m <= 8, the truth table (values 0/1).
+- spans: uint16 (M, 2^k), k <= 4, the span points of each of M subspaces:
+  column t is the point sum of u_i over the bits i of t, for the
+  subspace's basis u_0..u_(k-1) (column 0 is 0, column 2^i is u_i).
 - reps: uint16 (M, C), one representative per coset of each subspace,
   column 0 the subspace itself (rep 0).
-- lut: uint8 table over the 2^(2^k) restriction patterns, 1 iff affine.
 
-The restriction of f to the coset reps[i, j] ^ <spans[i]> is packed into a
-pattern int whose bit t is f(reps[i, j] ^ spans[i, t]); lut[pattern] flags
-whether that restriction is affine.  spans and reps come from
-`scan.scan_arrays(m, k)`, lut from `scan.affine_lut(k)`.
+spans and reps come from `scan.scan_arrays(m, k)`.  The wrapper raises
+ValueError for shapes outside these limits and IndexError for an f whose
+size is not a power of two, before any backend runs.
 
-Two backends compute the same flags:
+The two backends compute the same flags by two different affinity tests:
 
-- compiled: the C source `_SOURCE` below, called through ctypes.  It stops a
-  coset at its first non-affine 2- or 3-dim prefix sub-flat (tested with
-  `affine_lut(2)` and `affine_lut(3)`), and `coset_affine_all` stops a row
-  at its first non-affine coset.  Every index into f is bounds-checked; one
+- compiled: the C source `_SOURCE` below, called through ctypes, tests
+  second derivatives.  f is affine on a k-flat x + U iff every ANF
+  coefficient of degree >= 2 of t -> f(x + span point t) is 0.  The
+  coefficients whose two lowest variables are i < j are, by a triangular
+  change of basis, the second derivatives D_(u_i) D_(u_j) f at the points
+  x + span point t for the t made of basis bits above j only.  So the
+  2^k - k - 1 span-column quads (t, t|2^i, t|2^j, t|2^i|2^j) of those t
+  (11 at k = 4, 4 at k = 3, 1 at k = 2, none at k <= 1) decide affinity,
+  and none of them can be left out.  Once per call the kernel builds the
+  translate table: row w is a 2^m-bit string whose bit x is f(x ^ w), 8 KB
+  at m = 8.  Per subspace it computes C, the OR over the quads of the XOR of
+  the four rows at the quad's span points; bit x of C is 1 iff f is not
+  affine on x + U.  A coset's flag is the complement of C at its
+  representative, and `coset_affine_all` flags a subspace iff C is 0 at all
+  2^m bits.  So a subspace costs a few table XORs instead of 2^k gathers
+  per coset.  Every span and representative point is bounds-checked; one
   outside f raises IndexError, as numpy would.
-- python: `_numpy_bits` and `_numpy_all`, the reference the tests compare
-  the compiled kernel against.
+- python: `_numpy_bits` and `_numpy_all` pack the restriction of f to each
+  coset into a pattern whose bit t is f(rep ^ span point t) and look it up
+  in `scan.affine_lut(k)`, the table of the 2^(k+1) affine patterns.  They
+  are the fallback and the reference the tests compare the compiled kernel
+  against.  They stay pattern-table based so that this comparison checks
+  one affinity test against another, not one code path against a copy.
 
 On import the module loads `__pycache__/_scan_kernel-<key>.so` next to this
 file, where key is the sha256 of the C source and the compiler flags, so an
@@ -47,61 +61,87 @@ import tempfile
 
 import numpy as np
 
-from .scan import affine_lut
+from .scan import MAX_LUT_K, affine_lut
 
 _SOURCE = r"""
 #include <stdint.h>
 
-/* lut[pattern of f on the coset rep ^ <span>], 0 as soon as the 2- or 3-dim
-   prefix sub-flat is not affine, or -1 for an index outside f. */
-static int coset(const uint8_t *f, long nf, const uint16_t *span, long s, unsigned rep,
-                 const uint8_t *lut, const uint8_t *lut2, const uint8_t *lut3)
+/* Largest f: 2^8 points, so a translate row is 4 words and a span at most
+   16 points (k <= 4).  The wrapper rejects larger inputs before any call. */
+#define WORDS 4
+#define MAX_POINTS 256
+#define MAX_SPAN 16
+#define MAX_QUADS 11
+
+/* The span-column quads (t, t|i, t|j, t|i|j) for basis bits i < j and t
+   made of basis bits above j only: one per ANF monomial of degree >= 2. */
+static long quads(long s, uint8_t q[][4])
 {
-    uint32_t p = 0;
-    for (long t = 0; t < s; t++) {
-        unsigned x = rep ^ span[t];
-        if (x >= (unsigned long)nf)
-            return -1;
-        p |= (uint32_t)(f[x] & 1u) << t; /* & 1 keeps p below 2^s, the size of lut */
-        if ((t == 3 && s > 4 && !lut2[p]) || (t == 7 && s > 8 && !lut3[p]))
-            return 0;
+    long n = 0;
+    for (long j = 2; j < s; j <<= 1)
+        for (long i = 1; i < j; i <<= 1)
+            for (long t = 0; t < s; t += 2 * j, n++) {
+                q[n][0] = (uint8_t)t;
+                q[n][1] = (uint8_t)(t | i);
+                q[n][2] = (uint8_t)(t | j);
+                q[n][3] = (uint8_t)(t | i | j);
+            }
+    return n;
+}
+
+/* For each row: c = OR over the quads of the XOR of its four translate rows,
+   so bit x of c is 1 iff f is not affine on x ^ <span>.  bits gets one flag
+   per coset (1 iff c is 0 at its representative), all one per row (1 iff c
+   is 0 everywhere).  -1 for a span or representative point outside f. */
+static int scan(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps, long rows,
+                long s, long nc, uint8_t *bits, uint8_t *all)
+{
+    uint64_t tr[MAX_POINTS][WORDS] = {{0}}; /* tr[w] bit x = f(x ^ w) */
+    uint8_t q[MAX_QUADS][4];
+    long nq = quads(s, q);
+    for (long w = 0; w < nf; w++)
+        for (long x = 0; x < nf; x++)
+            tr[w][x >> 6] |= (uint64_t)(f[x ^ w] & 1u) << (x & 63);
+    for (long r = 0; r < rows; r++) {
+        const uint16_t *span = spans + r * s, *rep = reps + r * nc;
+        const uint64_t *row[MAX_SPAN];
+        uint64_t c[WORDS] = {0};
+        for (long t = 0; t < s; t++) {
+            if (span[t] >= nf)
+                return -1;
+            row[t] = tr[span[t]];
+        }
+        for (long n = 0; n < nq; n++)
+            for (int w = 0; w < WORDS; w++)
+                c[w] |= row[q[n][0]][w] ^ row[q[n][1]][w] ^ row[q[n][2]][w] ^ row[q[n][3]][w];
+        for (long j = 0; j < nc; j++) {
+            if (rep[j] >= nf)
+                return -1;
+            if (bits)
+                bits[r * nc + j] = (uint8_t)!((c[rep[j] >> 6] >> (rep[j] & 63)) & 1u);
+        }
+        if (all)
+            all[r] = (uint8_t)!(c[0] | c[1] | c[2] | c[3]);
     }
-    return lut[p];
+    return 0;
 }
 
 int coset_affine_bits(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
-                      long rows, long s, long c, const uint8_t *lut, const uint8_t *lut2,
-                      const uint8_t *lut3, uint8_t *out)
+                      long rows, long s, long nc, uint8_t *out)
 {
-    for (long i = 0; i < rows; i++)
-        for (long j = 0; j < c; j++) {
-            int r = coset(f, nf, spans + i * s, s, reps[i * c + j], lut, lut2, lut3);
-            if (r < 0)
-                return -1;
-            out[i * c + j] = (uint8_t)r;
-        }
-    return 0;
+    return scan(f, nf, spans, reps, rows, s, nc, out, 0);
 }
 
 int coset_affine_all(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
-                     long rows, long s, long c, const uint8_t *lut, const uint8_t *lut2,
-                     const uint8_t *lut3, uint8_t *out)
+                     long rows, long s, long nc, uint8_t *out)
 {
-    for (long i = 0; i < rows; i++) {
-        int r = 1;
-        for (long j = 0; j < c && r == 1; j++)
-            r = coset(f, nf, spans + i * s, s, reps[i * c + j], lut, lut2, lut3);
-        if (r < 0)
-            return -1;
-        out[i] = (uint8_t)r;
-    }
-    return 0;
+    return scan(f, nf, spans, reps, rows, s, nc, 0, out);
 }
 """
 _FLAGS = ("-O2", "-shared", "-fPIC")
 _ARGTYPES = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
-             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+             ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p]
+MAX_M = 8  # the C translate table holds 2^MAX_M rows of 2^MAX_M bits
 
 
 def _load(cache_dir: str) -> tuple[ctypes.CDLL | None, str | None]:
@@ -140,25 +180,28 @@ _LIB, FALLBACK_REASON = _load(os.path.join(os.path.dirname(os.path.abspath(__fil
 BACKEND = "python" if _LIB is None else "compiled"  # run records report it
 
 
-def _checked(f, spans, reps, lut) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _checked(f, spans, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The inputs as C-contiguous arrays of the kernel's dtypes (no copy when
-    they already are), after checking that their shapes agree."""
+    they already are) and k, after checking the shapes the C code relies on."""
     f = np.ascontiguousarray(f, dtype=np.uint8)
     spans = np.ascontiguousarray(spans, dtype=np.uint16)
     reps = np.ascontiguousarray(reps, dtype=np.uint16)
-    lut = np.ascontiguousarray(lut, dtype=np.uint8)
     if spans.ndim != 2 or reps.ndim != 2 or spans.shape[0] != reps.shape[0]:
         raise ValueError(f"spans {spans.shape} and reps {reps.shape} need one row per subspace")
-    if lut.size != 1 << spans.shape[1]:
-        raise ValueError(f"lut has {lut.size} entries, not 2^{spans.shape[1]}")
-    return f, spans, reps, lut
+    s = spans.shape[1]
+    if s < 1 or s & (s - 1) or s > 1 << MAX_LUT_K:
+        raise ValueError(f"spans have {s} columns, not 2^k with k <= {MAX_LUT_K}")
+    if f.size < 1 or f.size & (f.size - 1):
+        raise IndexError(f"f has {f.size} entries, not 2^m: a coset point lies outside it")
+    if f.size > 1 << MAX_M:
+        raise ValueError(f"f has {f.size} entries, more than 2^{MAX_M}")
+    return f, spans, reps, s.bit_length() - 1
 
 
-def _run(fn, f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndarray,
-         out: np.ndarray) -> np.ndarray:
+def _run(fn, f: np.ndarray, spans: np.ndarray, reps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Run one C entry point on checked inputs into out and return out."""
     rc = fn(f.ctypes.data, f.size, spans.ctypes.data, reps.ctypes.data, *spans.shape, reps.shape[1],
-            lut.ctypes.data, affine_lut(2).ctypes.data, affine_lut(3).ctypes.data, out.ctypes.data)
+            out.ctypes.data)
     if rc != 0:
         raise IndexError(f"a coset point is outside f (size {f.size})")
     return out
@@ -198,21 +241,17 @@ def _numpy_all(f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndarr
     return out
 
 
-def coset_affine_bits(
-    f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndarray
-) -> np.ndarray:
+def coset_affine_bits(f: np.ndarray, spans: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """uint8 (M, C): for each (subspace, coset), 1 iff f restricted there is affine."""
-    f, spans, reps, lut = _checked(f, spans, reps, lut)
+    f, spans, reps, k = _checked(f, spans, reps)
     if _LIB is None:
-        return _numpy_bits(f, spans, reps, lut)
-    return _run(_LIB.coset_affine_bits, f, spans, reps, lut, np.empty(reps.shape, dtype=np.uint8))
+        return _numpy_bits(f, spans, reps, affine_lut(k))
+    return _run(_LIB.coset_affine_bits, f, spans, reps, np.empty(reps.shape, dtype=np.uint8))
 
 
-def coset_affine_all(
-    f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndarray
-) -> np.ndarray:
+def coset_affine_all(f: np.ndarray, spans: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """uint8 (M,): 1 iff f is affine on every coset of the subspace."""
-    f, spans, reps, lut = _checked(f, spans, reps, lut)
+    f, spans, reps, k = _checked(f, spans, reps)
     if _LIB is None:
-        return _numpy_all(f, spans, reps, lut)
-    return _run(_LIB.coset_affine_all, f, spans, reps, lut, np.empty(len(spans), dtype=np.uint8))
+        return _numpy_all(f, spans, reps, affine_lut(k))
+    return _run(_LIB.coset_affine_all, f, spans, reps, np.empty(len(spans), dtype=np.uint8))

@@ -146,7 +146,7 @@ def near_brute(f: TruthTable) -> set[TruthTable]:
     n = f.m // 2
     spans, reps = scan_arrays(f.m, n)
     fv = f.to_u8()
-    hits = kernels.coset_affine_bits(fv, spans, reps, affine_lut(n))
+    hits = kernels.coset_affine_bits(fv, spans, reps)
     # the kernel's flags are 0/1, so the bool view is exact and scans fastest
     sub, coset = np.divmod(np.flatnonzero(hits.view(bool)), hits.shape[1])
     values = np.repeat(fv[None, :], len(sub), axis=0)
@@ -163,7 +163,7 @@ def near_brute_count(f: TruthTable) -> int:
         raise ValueError("brute scan supports even m <= 8")
     n = f.m // 2
     spans, reps = scan_arrays(f.m, n)
-    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps, affine_lut(n))
+    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps)
     return int(hits.sum())
 
 
@@ -511,7 +511,7 @@ def m_subspaces(f: TruthTable) -> list[LinearSubspace]:
         raise ValueError("f must have an even number of variables")
     n = f.m // 2
     spans, reps = scan_arrays(f.m, n)
-    mask = kernels.coset_affine_all(f.to_u8(), spans, reps, affine_lut(n))
+    mask = kernels.coset_affine_all(f.to_u8(), spans, reps)
     bases = linear_subspace_bases(f.m, n)
     return [LinearSubspace(bases[i], f.m) for i in mask.nonzero()[0]]
 

@@ -2,6 +2,7 @@
 against each other, the compiled backend against the numpy reference, and
 the build, fallback and bounds checks of the compiled backend."""
 
+import functools
 import random
 import shutil
 import subprocess
@@ -28,19 +29,26 @@ def test_backend_reported():
 
 
 def _inputs(m, seed):
-    """A random table, an MF function and an affine function, as uint8 arrays."""
+    """uint8 tables: a random one, an MF function and an affine function, then
+    three affine on far more cosets than the random and MF ones (about 1 in
+    2300 at (8, 4)): the affine one xor x1x2 xor x3x4, the affine one xor
+    x1x2x3, and the indicator of one point."""
     rng = random.Random(seed)
     rand = np.array([rng.getrandbits(1) for _ in range(1 << m)], dtype=np.uint8)
     mf = build_mmf(MMFunction.random(m // 2, rng)).to_u8()
     a = rng.randrange(1, 1 << m)
     affine = np.array([(a & x).bit_count() & 1 for x in range(1 << m)], dtype=np.uint8)
-    return {"random": rand, "mf": mf, "affine": affine}
+    x1, x2, x3, x4 = ((np.arange(1 << m) >> i & 1).astype(np.uint8) for i in range(4))
+    point = np.zeros(1 << m, dtype=np.uint8)
+    point[rng.randrange(1 << m)] = 1
+    return {"random": rand, "mf": mf, "affine": affine, "quadratic": affine ^ x1 & x2 ^ x3 & x4,
+            "cubic": affine ^ x1 & x2 & x3, "point": point}
 
 
 def _check_cells(f_arr, m, k, cells):
     """Each listed (row, coset) flag equals is_affine_on on that coset."""
     spans, reps = scan_arrays(m, k)
-    bits = kernels.coset_affine_bits(f_arr, spans, reps, affine_lut(k))
+    bits = kernels.coset_affine_bits(f_arr, spans, reps)
     f = TruthTable.from_u8(f_arr, m)
     bases = linear_subspace_bases(m, k)
     directions = {}
@@ -63,7 +71,7 @@ def test_kernel_matches_affinity_primitive():
     spans, reps = scan_arrays(8, 4)
     inputs = _inputs(8, seed=84)
     for f in (inputs["random"], inputs["mf"]):
-        hits = kernels.coset_affine_bits(f, spans, reps, affine_lut(4)).nonzero()
+        hits = kernels.coset_affine_bits(f, spans, reps).nonzero()
         cells = list(zip(*hits)) + [
             (rng.randrange(reps.shape[0]), rng.randrange(reps.shape[1])) for _ in range(500)
         ]
@@ -73,14 +81,14 @@ def test_kernel_matches_affinity_primitive():
 @pytest.mark.parametrize("m,k", [(6, 2), (6, 3), (8, 2), (8, 3), (8, 4)])
 def test_all_equals_bits_all(m, k):
     spans, reps = scan_arrays(m, k)
-    lut = affine_lut(k)
     for name, f in _inputs(m, seed=m * 10 + k).items():
-        bits = kernels.coset_affine_bits(f, spans, reps, lut)
-        every = kernels.coset_affine_all(f, spans, reps, lut)
+        bits = kernels.coset_affine_bits(f, spans, reps)
+        every = kernels.coset_affine_all(f, spans, reps)
         assert bits.dtype == every.dtype == np.uint8
         assert bits.shape == reps.shape and every.shape == (reps.shape[0],)
         assert np.array_equal(every, bits.all(axis=1)), name
-    assert every.all()  # the affine input passes every row through the filter
+        if name == "affine":
+            assert every.all()  # every row passes through the filter
 
 
 def test_scan_array_shapes():
@@ -94,16 +102,18 @@ def test_scan_array_shapes():
 
 
 @needs_cc
-@pytest.mark.parametrize("m,k", [(4, 2), (6, 2), (6, 3), (8, 2), (8, 3), (8, 4)])
+@pytest.mark.parametrize("m,k", [(4, 1), (4, 2), (6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), (8, 4)])
 def test_compiled_equals_numpy(m, k):
     spans, reps = scan_arrays(m, k)
     lut = affine_lut(k)
     for name, f in _inputs(m, seed=m * 10 + k).items():
         for compiled, reference in [(kernels.coset_affine_bits, kernels._numpy_bits),
                                     (kernels.coset_affine_all, kernels._numpy_all)]:
-            got, want = compiled(f, spans, reps, lut), reference(f, spans, reps, lut)
+            got, want = compiled(f, spans, reps), reference(f, spans, reps, lut)
             assert got.dtype == want.dtype and got.shape == want.shape, (name, compiled.__name__)
             assert np.array_equal(got, want), (name, compiled.__name__)
+            if k < 2:  # every function is affine on every point and line
+                assert got.all(), (name, compiled.__name__)
 
 
 @pytest.mark.parametrize("case", ["no cc", "cc fails", "cache not writable"])
@@ -130,8 +140,8 @@ def test_fallback_reason_and_results(monkeypatch, tmp_path, case):
     assert lib is None and cause in reason and "\n" not in reason
     assert not list(tmp_path.glob("**/_scan_kernel-*"))  # no library, no temp file
     monkeypatch.setattr(kernels, "_LIB", lib)
-    assert np.array_equal(kernels.coset_affine_bits(f, spans, reps, lut), expected[0])
-    assert np.array_equal(kernels.coset_affine_all(f, spans, reps, lut), expected[1])
+    assert np.array_equal(kernels.coset_affine_bits(f, spans, reps), expected[0])
+    assert np.array_equal(kernels.coset_affine_all(f, spans, reps), expected[1])
 
 
 @needs_cc
@@ -154,22 +164,28 @@ def test_kernel_source_compiles_without_warnings():
 @pytest.mark.parametrize("entry", ["coset_affine_bits", "coset_affine_all", "_numpy_bits", "_numpy_all"])
 def test_index_outside_f_raises(entry):
     fn = getattr(kernels, entry)
+    if entry.startswith("_numpy"):
+        fn = functools.partial(fn, lut=affine_lut(3))
     spans, reps = scan_arrays(6, 3)
-    lut = affine_lut(3)
     f = _inputs(6, seed=6)["affine"]  # affine on every coset, so every point is read
-    bad_reps = reps.copy()
+    bad_spans, bad_reps = spans.copy(), reps.copy()
+    bad_spans[0, 1] = f.size
     bad_reps[0, 1] = f.size
-    with pytest.raises(IndexError):
-        fn(f[:-1], spans, reps, lut)
-    with pytest.raises(IndexError):
-        fn(f, spans, bad_reps, lut)
+    for args in [(f[:-1], spans, reps), (f, bad_spans, reps), (f, spans, bad_reps)]:
+        with pytest.raises(IndexError):
+            fn(*args)
 
 
-def test_mismatched_inputs_raise():
+def test_mismatched_inputs_raise(monkeypatch):
+    """Shapes the C code cannot hold raise ValueError on either backend."""
     spans, reps = scan_arrays(6, 3)
     f = _inputs(6, seed=7)["mf"]
-    for fn in (kernels.coset_affine_bits, kernels.coset_affine_all):
-        with pytest.raises(ValueError):
-            fn(f, spans, reps, affine_lut(2))
-        with pytest.raises(ValueError):
-            fn(f, spans, reps[1:], affine_lut(3))
+    wide, wide_reps = scan_arrays(6, 5)  # 32 span points: k = 5 > MAX_LUT_K
+    bad = [(f, spans, reps[1:]), (f, spans[:, :6], reps), (f, spans[:, :0], reps),
+           (f, wide, wide_reps), (np.zeros(512, dtype=np.uint8), spans, reps)]
+    for lib in (kernels._LIB, None):
+        monkeypatch.setattr(kernels, "_LIB", lib)
+        for fn in (kernels.coset_affine_bits, kernels.coset_affine_all):
+            for args in bad:
+                with pytest.raises(ValueError):
+                    fn(*args)

@@ -27,7 +27,7 @@ def near_brute_per_hit(f):
     """Reference: one indicator and one Walsh check per kernel hit."""
     n = f.m // 2
     spans, reps = oracle.scan_arrays(f.m, n)
-    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps, oracle.affine_lut(n))
+    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps)
     out = set()
     for i, j in zip(*hits.nonzero()):
         U = AffineSubspace.coset(int(reps[i, j]), LinearSubspace.from_vectors(map(int, spans[i]), f.m))
@@ -49,8 +49,8 @@ def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
     f = build_mmf(MMFunction.random(2, random.Random(43)))
     real = kernels.coset_affine_bits
 
-    def one_false_hit(fv, spans, reps, lut):
-        out = real(fv, spans, reps, lut).copy()
+    def one_false_hit(fv, spans, reps):
+        out = real(fv, spans, reps).copy()
         i, j = np.argwhere(out == 0)[0]  # a coset where f is not affine
         out[i, j] = 1
         return out
