@@ -168,12 +168,6 @@ class LinearSubspace:
     def contains(self, v: int) -> bool:
         return reduce_by_basis(v, self.basis) == 0
 
-    def matrix(self) -> Gf2Matrix:
-        return Gf2Matrix(self.basis, self.ambient)
-
-    def orthogonal(self) -> "LinearSubspace":
-        return orthogonal(self)
-
 
 def reduce_by_basis(v: int, basis: tuple[int, ...]) -> int:
     """Reduce v modulo an rref basis: zero out its pivot coordinates."""
@@ -317,7 +311,8 @@ def linear_subspace_bases(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     The order is by pivot columns (itertools.combinations order), then by
     the row tuple read from the last row to the first, so row 0's free bits
-    vary fastest.  scan_arrays and m_subspaces index into this order.
+    vary fastest.  The rows of kernels.scan_arrays follow this order, and
+    oracle.m_subspaces and oracle.verify_beta index into it.
     """
     if not 0 <= k <= n <= MAX_ENUM_AMBIENT:
         raise ValueError(f"need 0 <= k <= n <= {MAX_ENUM_AMBIENT}")

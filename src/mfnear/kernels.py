@@ -1,17 +1,24 @@
-"""The subspace scan kernel: is f affine on each coset of each k-dim subspace?
+"""The coset scan: is f affine on each coset of each k-dim subspace?
 
-Inputs, shared by both entry points:
+`scan_arrays(m, k)` describes every k-dim linear subspace U of Z2^m, one row
+per subspace in `gf2.linear_subspace_bases(m, k)` order (the order of
+`gf2.enumerate_subspaces`), as two uint16 arrays:
 
-- f: uint8 array of length 2^m, m <= 8, the truth table (values 0/1).
-- spans: uint16 (M, 2^k), k <= 4, the span points of each of M subspaces:
-  column t is the point sum of u_i over the bits i of t, for the
-  subspace's basis u_0..u_(k-1) (column 0 is 0, column 2^i is u_i).
-- reps: uint16 (M, C), one representative per coset of each subspace,
-  column 0 the subspace itself (rep 0).
+- spans (M, 2^k), k <= 4: column t is the point sum of u_i over the bits i
+  of t, for the subspace's basis u_0..u_(k-1) (column 0 is 0, column 2^i is
+  u_i), so row i is `LinearSubspace(bases[i], m).points()`.
+- reps (M, 2^(m-k)): the canonical coset representatives
+  `gf2.coset_representatives(bases[i], m)`, column 0 the subspace itself
+  (rep 0).
 
-spans and reps come from `scan.scan_arrays(m, k)`.  The wrapper raises
-ValueError for shapes outside these limits and IndexError for an f whose
-size is not a power of two, before any backend runs.
+`coset_affine_bits(f, spans, reps)` is the one scan.  f is a uint8 array of
+length 2^m, m <= 8, the truth table (values 0/1); the result is uint8 (M, C),
+1 iff f restricted to that coset is affine.  `coset_affine_all` is its row
+reduction, 1 iff f is affine on every coset of the subspace; it is kept as a
+name of its own because the |M(f)| scan (`oracle.m_subspaces`) and the
+benchmark's traced run call it by that name.  The wrapper raises ValueError
+for shapes outside these limits and IndexError for an f whose size is not a
+power of two, before any backend runs.
 
 The two backends compute the same flags by two different affinity tests:
 
@@ -27,17 +34,16 @@ The two backends compute the same flags by two different affinity tests:
   translate table: row w is a 2^m-bit string whose bit x is f(x ^ w), 8 KB
   at m = 8.  Per subspace it computes C, the OR over the quads of the XOR of
   the four rows at the quad's span points; bit x of C is 1 iff f is not
-  affine on x + U.  A coset's flag is the complement of C at its
-  representative, and `coset_affine_all` flags a subspace iff C is 0 at all
-  2^m bits.  So a subspace costs a few table XORs instead of 2^k gathers
-  per coset.  Every span and representative point is bounds-checked; one
-  outside f raises IndexError, as numpy would.
-- python: `_numpy_bits` and `_numpy_all` pack the restriction of f to each
-  coset into a pattern whose bit t is f(rep ^ span point t) and look it up
-  in `scan.affine_lut(k)`, the table of the 2^(k+1) affine patterns.  They
-  are the fallback and the reference the tests compare the compiled kernel
-  against.  They stay pattern-table based so that this comparison checks
-  one affinity test against another, not one code path against a copy.
+  affine on x + U.  C is constant on each coset, so a coset's flag is the
+  complement of C at its representative.  A subspace costs a few table XORs
+  instead of 2^k gathers per coset.  Every span and representative point is
+  bounds-checked; one outside f raises IndexError, as numpy would.
+- python: `_numpy_bits` packs the restriction of f to each coset into a
+  pattern whose bit t is f(rep ^ span point t) and looks it up in
+  `affine_lut(k)`, the table of the 2^(k+1) affine patterns.  It is the
+  fallback and the reference the tests compare the compiled kernel against.
+  It stays pattern-table based so that this comparison checks one affinity
+  test against another, not one code path against a copy.
 
 On import the module loads `__pycache__/_scan_kernel-<key>.so` next to this
 file, where key is the sha256 of the C source and the compiler flags, so an
@@ -58,10 +64,51 @@ import os
 import shutil
 import subprocess
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
-from .scan import MAX_LUT_K, affine_lut
+from .boolfun import all_affine_patterns
+from .gf2 import coset_representatives, linear_subspace_bases
+
+MAX_LUT_K = 4  # largest k: affine_lut(4) has 2^16 entries, a C span 16 points
+
+
+@lru_cache(maxsize=None)
+def affine_lut(k: int) -> np.ndarray:
+    """uint8 table over all 2^(2^k) restriction patterns: 1 iff affine."""
+    if not 0 <= k <= MAX_LUT_K:
+        raise ValueError(f"pattern table supports k <= {MAX_LUT_K}")
+    lut = np.zeros(1 << (1 << k), dtype=np.uint8)
+    for p in all_affine_patterns(k):
+        lut[p] = 1
+    return lut
+
+
+@lru_cache(maxsize=None)
+def scan_arrays(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(spans, reps) uint16 arrays for all k-dim linear subspaces of Z2^m,
+    one row per subspace in linear_subspace_bases order."""
+    bases = linear_subspace_bases(m, k)
+    rows = len(bases)
+    base_mat = np.array(bases, dtype=np.uint16).reshape(rows, k)
+    spans = np.zeros((rows, 1 << k), dtype=np.uint16)
+    for eps in range(1, 1 << k):
+        low = eps & -eps
+        spans[:, eps] = spans[:, eps ^ low] ^ base_mat[:, low.bit_length() - 1]
+
+    # the representatives depend only on the pivot columns: one list per mask
+    reps = np.zeros((rows, 1 << (m - k)), dtype=np.uint16)
+    by_mask: dict[int, list[int]] = {}
+    for i, basis in enumerate(bases):
+        pm = 0
+        for b in basis:
+            pm |= b & -b
+        by_mask.setdefault(pm, []).append(i)
+    for idxs in by_mask.values():
+        reps[idxs] = np.array(coset_representatives(bases[idxs[0]], m), dtype=np.uint16)
+    return spans, reps
+
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -91,10 +138,10 @@ static long quads(long s, uint8_t q[][4])
 
 /* For each row: c = OR over the quads of the XOR of its four translate rows,
    so bit x of c is 1 iff f is not affine on x ^ <span>.  bits gets one flag
-   per coset (1 iff c is 0 at its representative), all one per row (1 iff c
-   is 0 everywhere).  -1 for a span or representative point outside f. */
-static int scan(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps, long rows,
-                long s, long nc, uint8_t *bits, uint8_t *all)
+   per coset, 1 iff c is 0 at its representative.  -1 for a span or
+   representative point outside f. */
+int coset_affine_bits(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
+                      long rows, long s, long nc, uint8_t *bits)
 {
     uint64_t tr[MAX_POINTS][WORDS] = {{0}}; /* tr[w] bit x = f(x ^ w) */
     uint8_t q[MAX_QUADS][4];
@@ -117,25 +164,10 @@ static int scan(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t
         for (long j = 0; j < nc; j++) {
             if (rep[j] >= nf)
                 return -1;
-            if (bits)
-                bits[r * nc + j] = (uint8_t)!((c[rep[j] >> 6] >> (rep[j] & 63)) & 1u);
+            bits[r * nc + j] = (uint8_t)!((c[rep[j] >> 6] >> (rep[j] & 63)) & 1u);
         }
-        if (all)
-            all[r] = (uint8_t)!(c[0] | c[1] | c[2] | c[3]);
     }
     return 0;
-}
-
-int coset_affine_bits(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
-                      long rows, long s, long nc, uint8_t *out)
-{
-    return scan(f, nf, spans, reps, rows, s, nc, out, 0);
-}
-
-int coset_affine_all(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
-                     long rows, long s, long nc, uint8_t *out)
-{
-    return scan(f, nf, spans, reps, rows, s, nc, 0, out);
 }
 """
 _FLAGS = ("-O2", "-shared", "-fPIC")
@@ -170,9 +202,8 @@ def _load(cache_dir: str) -> tuple[ctypes.CDLL | None, str | None]:
         return None, f"cc failed with exit {exc.returncode}: {err[0] if err else 'no message'}"
     except (OSError, subprocess.SubprocessError) as exc:
         return None, f"building or loading {path} failed: {type(exc).__name__}: {exc}"
-    for fn in (lib.coset_affine_bits, lib.coset_affine_all):
-        fn.argtypes = _ARGTYPES
-        fn.restype = ctypes.c_int
+    lib.coset_affine_bits.argtypes = _ARGTYPES
+    lib.coset_affine_bits.restype = ctypes.c_int
     return lib, None
 
 
@@ -198,15 +229,6 @@ def _checked(f, spans, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return f, spans, reps, s.bit_length() - 1
 
 
-def _run(fn, f: np.ndarray, spans: np.ndarray, reps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Run one C entry point on checked inputs into out and return out."""
-    rc = fn(f.ctypes.data, f.size, spans.ctypes.data, reps.ctypes.data, *spans.shape, reps.shape[1],
-            out.ctypes.data)
-    if rc != 0:
-        raise IndexError(f"a coset point is outside f (size {f.size})")
-    return out
-
-
 def _patterns(f: np.ndarray, spans: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """uint16 restriction patterns (M, C), built one span column at a time.
 
@@ -228,30 +250,18 @@ def _numpy_bits(f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndar
     return lut[_patterns(f, spans, reps)]
 
 
-def _numpy_all(f: np.ndarray, spans: np.ndarray, reps: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """The numpy coset_affine_all: the reference and the fallback.
-
-    Filters on the first coset (the subspace itself) before checking the
-    survivors in full; most rows fail there for bent inputs.
-    """
-    out = lut[_patterns(f, spans, reps[:, :1])].reshape(-1)
-    rows = np.flatnonzero(out)
-    if rows.size:
-        out[rows] = lut[_patterns(f, spans[rows], reps[rows])].all(axis=1)
-    return out
-
-
 def coset_affine_bits(f: np.ndarray, spans: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """uint8 (M, C): for each (subspace, coset), 1 iff f restricted there is affine."""
     f, spans, reps, k = _checked(f, spans, reps)
     if _LIB is None:
         return _numpy_bits(f, spans, reps, affine_lut(k))
-    return _run(_LIB.coset_affine_bits, f, spans, reps, np.empty(reps.shape, dtype=np.uint8))
+    out = np.empty(reps.shape, dtype=np.uint8)
+    if _LIB.coset_affine_bits(f.ctypes.data, f.size, spans.ctypes.data, reps.ctypes.data,
+                              *spans.shape, reps.shape[1], out.ctypes.data):
+        raise IndexError(f"a coset point is outside f (size {f.size})")
+    return out
 
 
 def coset_affine_all(f: np.ndarray, spans: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """uint8 (M,): 1 iff f is affine on every coset of the subspace."""
-    f, spans, reps, k = _checked(f, spans, reps)
-    if _LIB is None:
-        return _numpy_all(f, spans, reps, affine_lut(k))
-    return _run(_LIB.coset_affine_all, f, spans, reps, np.empty(len(spans), dtype=np.uint8))
+    return coset_affine_bits(f, spans, reps).view(bool).all(axis=1).view(np.uint8)

@@ -1,7 +1,7 @@
 """Brute-force and Monte Carlo verifiers.
 
 The verifiers recompute every claim from definitions, using only the gf2
-and boolfun primitives plus the raw scan kernels; the criterion machinery
+and boolfun primitives plus the coset scan of kernels; the criterion machinery
 in mmf is the thing being checked, never part of the check itself.  The
 exceptions are explicitly statistical: sample_near_average and m_census
 draw on the criterion-side counters (mmf.near_count, mmf.m_count) to test
@@ -44,6 +44,7 @@ from .gf2 import (
     project_bits,
     rref_rows,
 )
+from .kernels import affine_lut, scan_arrays
 from .mmf import (
     MMFunction,
     Permutation,
@@ -60,7 +61,6 @@ from .mmf import (
     realize_near,
     witness,
 )
-from .scan import affine_lut, scan_arrays
 
 
 @dataclass
@@ -673,20 +673,6 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
     return g, U
 
 
-def _affine_on_all_cosets(f: TruthTable, U: LinearSubspace) -> bool:
-    """Definitional test: f affine on every coset of U."""
-    m = f.m
-    span = U.points()
-    lut = affine_lut(U.dim)
-    for rep in coset_representatives(U.basis, m):
-        pat = 0
-        for i, s in enumerate(span):
-            pat |= f.value(rep ^ s) << i
-        if not lut[pat]:
-            return False
-    return True
-
-
 def verify_two_coset_lower(two_n: int = 8, trials: int = 10, seed: int = 1) -> VerificationOutcome:
     """Constructed double-series functions have at least 2^(2n+2) - 2^(n+3)
     closest bent functions, by full brute scan."""
@@ -701,9 +687,10 @@ def verify_two_coset_lower(two_n: int = 8, trials: int = 10, seed: int = 1) -> V
         g, U = construct_two_series(n, rng)
         f = build_mmf(g)
         x_side = LinearSubspace.from_vectors([1 << i for i in range(n)], two_n)
-        if not _affine_on_all_cosets(f, x_side):
+        series = set(m_subspaces(f))
+        if x_side not in series:
             return _timed("two-coset-series lower bound", False, {}, "x-side series broken", t0)
-        if not _affine_on_all_cosets(f, U.direction):
+        if U.direction not in series:
             return _timed(
                 "two-coset-series lower bound", False, {}, "constructed series broken", t0
             )
@@ -753,15 +740,15 @@ def verify_beta(two_n: int, seed: int = 1, subspace_samples: int = 20) -> Verifi
     if two_n == 4:
         n = 2
         x_basis = (1, 2)
-        strata = {0: [], 1: []}
-        total = 0
+        bases = linear_subspace_bases(4, 2)
+        spans, reps = scan_arrays(4, 2)
         tables = [build_mmf(g) for g in all_mf_functions(n)]
-        for U in enumerate_subspaces(4, 2, affine=False):
-            if U.basis == x_basis:
-                continue
-            cnt = sum(1 for f in tables if _affine_on_all_cosets(f, U))
-            total += cnt
-            strata[_dim_x_intersection(U, n)].append(cnt)
+        counts = sum(kernels.coset_affine_all(f.to_u8(), spans, reps).astype(np.int64) for f in tables)
+        rows = [i for i, basis in enumerate(bases) if basis != x_basis]
+        strata = {0: [], 1: []}
+        for i in rows:
+            strata[_dim_x_intersection(LinearSubspace(bases[i], 4), n)].append(int(counts[i]))
+        total = sum(map(sum, strata.values()))
         expected = counting.beta(4)
         per_k = {
             k: (len(v), set(v)) for k, v in strata.items()
@@ -775,7 +762,7 @@ def verify_beta(two_n: int, seed: int = 1, subspace_samples: int = 20) -> Verifi
             "beta(4) full intersection census",
             ok,
             {
-                "subspaces": 34,
+                "subspaces": len(rows),
                 "functions": len(tables),
                 "total": total,
                 "expected": expected,

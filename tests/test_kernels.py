@@ -1,5 +1,6 @@
-"""The coset kernel against the affinity definition, its two entry points
-against each other, the compiled backend against the numpy reference, and
+"""The scan arrays against the subspace enumeration, the coset kernel
+against the affinity definition, coset_affine_all against the row reduction
+of coset_affine_bits, the compiled backend against the numpy reference, and
 the build, fallback and bounds checks of the compiled backend."""
 
 import functools
@@ -12,9 +13,15 @@ import pytest
 
 from mfnear import kernels
 from mfnear.boolfun import TruthTable, is_affine_on
-from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
+from mfnear.gf2 import (
+    AffineSubspace,
+    LinearSubspace,
+    coset_representatives,
+    enumerate_subspaces,
+    linear_subspace_bases,
+)
+from mfnear.kernels import affine_lut, scan_arrays
 from mfnear.mmf import MMFunction, build_mmf
-from mfnear.scan import affine_lut, scan_arrays
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler cc on PATH")
@@ -79,16 +86,19 @@ def test_kernel_matches_affinity_primitive():
 
 
 @pytest.mark.parametrize("m,k", [(6, 2), (6, 3), (8, 2), (8, 3), (8, 4)])
-def test_all_equals_bits_all(m, k):
+def test_all_equals_bits_all(monkeypatch, m, k):
     spans, reps = scan_arrays(m, k)
-    for name, f in _inputs(m, seed=m * 10 + k).items():
-        bits = kernels.coset_affine_bits(f, spans, reps)
-        every = kernels.coset_affine_all(f, spans, reps)
-        assert bits.dtype == every.dtype == np.uint8
-        assert bits.shape == reps.shape and every.shape == (reps.shape[0],)
-        assert np.array_equal(every, bits.all(axis=1)), name
-        if name == "affine":
-            assert every.all()  # every row passes through the filter
+    # at m = 6 the numpy fallback runs too
+    for lib in (kernels._LIB, None) if m == 6 else (kernels._LIB,):
+        monkeypatch.setattr(kernels, "_LIB", lib)
+        for name, f in _inputs(m, seed=m * 10 + k).items():
+            bits = kernels.coset_affine_bits(f, spans, reps)
+            every = kernels.coset_affine_all(f, spans, reps)
+            assert bits.dtype == every.dtype == np.uint8
+            assert bits.shape == reps.shape and every.shape == (reps.shape[0],)
+            assert np.array_equal(every, bits.all(axis=1)), (name, lib)
+            if name == "affine":
+                assert every.all()
 
 
 def test_scan_array_shapes():
@@ -101,19 +111,34 @@ def test_scan_array_shapes():
         affine_lut(5)
 
 
+@pytest.mark.parametrize("m,k,sample", [(4, 2, None), (6, 3, None), (8, 4, 400)])
+def test_scan_array_rows_follow_the_enumeration(m, k, sample):
+    """Row i is the i-th subspace of enumerate_subspaces: its span points in
+    points() order and its canonical coset representatives.  m_subspaces and
+    verify_beta read subspaces off row indices by this order."""
+    spans, reps = scan_arrays(m, k)
+    bases = linear_subspace_bases(m, k)
+    assert list(bases) == [U.basis for U in enumerate_subspaces(m, k)]
+    assert spans.shape[0] == reps.shape[0] == len(bases)
+    rows = range(len(bases))
+    if sample is not None:
+        rows = random.Random(m * 10 + k).sample(rows, sample)
+    for i in rows:
+        assert spans[i].tolist() == LinearSubspace(bases[i], m).points(), (m, k, i)
+        assert reps[i].tolist() == coset_representatives(bases[i], m), (m, k, i)
+
+
 @needs_cc
 @pytest.mark.parametrize("m,k", [(4, 1), (4, 2), (6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), (8, 4)])
 def test_compiled_equals_numpy(m, k):
     spans, reps = scan_arrays(m, k)
     lut = affine_lut(k)
     for name, f in _inputs(m, seed=m * 10 + k).items():
-        for compiled, reference in [(kernels.coset_affine_bits, kernels._numpy_bits),
-                                    (kernels.coset_affine_all, kernels._numpy_all)]:
-            got, want = compiled(f, spans, reps), reference(f, spans, reps, lut)
-            assert got.dtype == want.dtype and got.shape == want.shape, (name, compiled.__name__)
-            assert np.array_equal(got, want), (name, compiled.__name__)
-            if k < 2:  # every function is affine on every point and line
-                assert got.all(), (name, compiled.__name__)
+        got, want = kernels.coset_affine_bits(f, spans, reps), kernels._numpy_bits(f, spans, reps, lut)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        if k < 2:  # every function is affine on every point and line
+            assert got.all(), name
 
 
 @pytest.mark.parametrize("case", ["no cc", "cc fails", "cache not writable"])
@@ -121,7 +146,8 @@ def test_fallback_reason_and_results(monkeypatch, tmp_path, case):
     spans, reps = scan_arrays(6, 3)
     lut = affine_lut(3)
     f = _inputs(6, seed=5)["mf"]
-    expected = (kernels._numpy_bits(f, spans, reps, lut), kernels._numpy_all(f, spans, reps, lut))
+    bits = kernels._numpy_bits(f, spans, reps, lut)
+    expected = (bits, bits.all(axis=1))
     cache = tmp_path / "cache"
     if case == "no cc":
         monkeypatch.setattr(shutil, "which", lambda name: None)
@@ -161,10 +187,10 @@ def test_kernel_source_compiles_without_warnings():
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("entry", ["coset_affine_bits", "coset_affine_all", "_numpy_bits", "_numpy_all"])
+@pytest.mark.parametrize("entry", ["coset_affine_bits", "coset_affine_all", "_numpy_bits"])
 def test_index_outside_f_raises(entry):
     fn = getattr(kernels, entry)
-    if entry.startswith("_numpy"):
+    if entry == "_numpy_bits":
         fn = functools.partial(fn, lut=affine_lut(3))
     spans, reps = scan_arrays(6, 3)
     f = _inputs(6, seed=6)["affine"]  # affine on every coset, so every point is read

@@ -194,9 +194,8 @@ def test_construct_two_series_properties():
         g, U = oracle.construct_two_series(4, rng)
         f = build_mmf(g)
         assert U.is_linear() and U.dim == 4
-        assert oracle._affine_on_all_cosets(f, U.direction)
         ms = oracle.m_subspaces(f)
-        assert len(ms) >= 2
+        assert U.direction in ms and len(ms) >= 2
 
 
 def test_verify_two_coset_lower():
@@ -208,7 +207,7 @@ def test_verify_two_coset_lower():
 def test_verify_beta_4():
     out = oracle.verify_beta(4)
     assert out.passed, out.witness
-    assert out.work["total"] == 5376
+    assert out.work["total"] == 5376 and out.work["subspaces"] == 34
 
 
 def test_verify_beta_6_sampled():
