@@ -4,13 +4,9 @@ exact counting, and brute-force verification."""
 from .boolfun import (
     AffineFit,
     TruthTable,
-    WalshSpectrum,
     ea_transform,
-    hamming_distance,
     is_affine_on,
     is_bent,
-    walsh_transform,
-    xor_indicator,
 )
 from .gf2 import (
     AffineMap,
@@ -41,6 +37,7 @@ from .mmf import (
     member_of_mf_u,
     near_count,
     near_enumerate,
+    near_tables,
     realize_near,
     witness,
 )

@@ -3,6 +3,12 @@
 A function on m variables is a 2^m-bit int; bit at index int(x) is f(x).
 For f(x, y) on Z2^n x Z2^n the table index is int(x) + 2^n * int(y), so x
 occupies the low bits and each y-slice is a contiguous 2^n-bit block.
+
+Many functions at once are one uint8 array of packed rows, bit x of a row
+at byte x // 8, bit x % 8 (np.packbits(TruthTable.to_u8(), bitorder=
+"little")); hex_rows formats each row as TruthTable.to_hex does.  Walsh
+spectra of many rows come from one batched transform (walsh_rows), in
+int16 while 2^m <= 2^14 and int32 above.
 """
 
 from __future__ import annotations
@@ -79,18 +85,13 @@ class TruthTable:
         return cls(m, int.from_bytes(packed.tobytes(), "little"))
 
 
-@dataclass(frozen=True)
-class WalshSpectrum:
-    """Integer spectrum W(u) = sum_x (-1)^(f(x) xor <u,x>)."""
-
-    m: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, u: int) -> int:
-        return self.values[u]
-
-    def parseval_holds(self) -> bool:
-        return sum(w * w for w in self.values) == 1 << (2 * self.m)
+def hex_rows(packed: np.ndarray, m: int) -> list[str]:
+    """TruthTable.to_hex of every row of a (rows, bytes) array of packed
+    m-variable tables, formatted in one pass over the whole array."""
+    digits = (1 << m) // 4 if m >= 2 else 1
+    width = 2 * packed.shape[1]
+    text = np.ascontiguousarray(packed[:, ::-1]).tobytes().hex()
+    return [text[i - digits : i] for i in range(width, len(text) + 1, width)]
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,16 @@ def walsh_rows(values: np.ndarray) -> np.ndarray:
     """Walsh spectra of every row of a (rows, 2^m) array of 0/1 values.
 
     One fast Walsh-Hadamard transform over all rows at once, O(rows m 2^m);
-    row r of the int32 result is W_r(u) = sum_x (-1)^(values[r, x] xor <u,x>).
+    row r of the result is W_r(u) = sum_x (-1)^(values[r, x] xor <u,x>).
     Each butterfly pass transforms the top index bit and rotates it to the
-    bottom, so after m passes every bit is done and back in place.
+    bottom, so after m passes every bit is done and back in place.  Every
+    partial sum is bounded by 2^m, so the result is int16 up to m = 14 and
+    int32 above: exact either way, at half the memory traffic for m <= 14.
     """
     rows, size = values.shape
     if size < 2 or size & (size - 1):
         raise ValueError("row length must be 2^m with m >= 1")
-    w = 1 - 2 * values.astype(np.int32)
+    w = 1 - 2 * values.astype(np.int16 if size <= 1 << 14 else np.int32)
     half = size // 2
     for _ in range(size.bit_length() - 1):
         top, bottom = w[:, :half], w[:, half:]
@@ -132,20 +135,9 @@ def bent_rows(values: np.ndarray) -> np.ndarray:
     return (np.abs(walsh_rows(values)) == 1 << (m // 2)).all(axis=1)
 
 
-def walsh_transform(f: TruthTable) -> WalshSpectrum:
-    """Walsh spectrum of one function, through walsh_rows."""
-    return WalshSpectrum(f.m, tuple(walsh_rows(f.to_u8()[None, :])[0].tolist()))
-
-
 def is_bent(f: TruthTable) -> bool:
     """True iff every Walsh coefficient has absolute value 2^(m/2)."""
     return bool(bent_rows(f.to_u8()[None, :])[0])
-
-
-def hamming_distance(f: TruthTable, g: TruthTable) -> int:
-    if f.m != g.m:
-        raise ValueError("size mismatch")
-    return (f.bits ^ g.bits).bit_count()
 
 
 def is_affine_on(f: TruthTable, U: AffineSubspace) -> Optional[AffineFit]:
@@ -163,16 +155,6 @@ def is_affine_on(f: TruthTable, U: AffineSubspace) -> Optional[AffineFit]:
         if f.value(x) != dot(a, x) ^ c:
             return None
     return AffineFit(a, c, U)
-
-
-def xor_indicator(f: TruthTable, U: AffineSubspace) -> TruthTable:
-    """f xor the characteristic function of U."""
-    if U.ambient != f.m:
-        raise ValueError("subspace does not live in the function domain")
-    bits = f.bits
-    for p in U.points():
-        bits ^= 1 << p
-    return TruthTable(f.m, bits)
 
 
 def ea_transform(

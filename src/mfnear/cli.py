@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import counting, oracle
-from .boolfun import TruthTable, is_bent
+from .boolfun import TruthTable, hex_rows, is_bent
 from .mmf import (
     MMFunction,
     Permutation,
@@ -30,8 +30,9 @@ from .mmf import (
     decode_mm,
     near_count,
     near_enumerate,
-    realize_near,
+    near_tables,
 )
+from .mmf import realize_near  # noqa: F401  kept resolvable: bench/tracing.py wraps cli.realize_near
 
 SCHEMA = "mfnear/1"
 EXIT_OK = 0
@@ -137,7 +138,7 @@ def cmd_near(args) -> int:
         if not is_bent(f):
             print("input is not bent", file=sys.stderr)
             return EXIT_USAGE
-        neighbors = sorted(t.to_hex() for t in oracle.near_brute(f))
+        neighbors = sorted(hex_rows(oracle.near_brute(f), f.m))
         result["mode"] = "brute"
         result["count"] = len(neighbors)
         if args.mode == "realize":
@@ -149,10 +150,14 @@ def cmd_near(args) -> int:
         return EXIT_USAGE
     if args.mode == "count":
         result["count"] = near_count(g)
-    else:
+    elif args.mode == "realize":
+        rows = near_tables(g)
+        result["count"] = len(rows)
+        result["realized"] = sorted(hex_rows(rows, f.m))
+    if args.mode == "list" or args.parents is not None:
         witnesses = near_enumerate(g)
-        result["count"] = len(witnesses)
         if args.mode == "list":
+            result["count"] = len(witnesses)
             result["witnesses"] = [
                 {
                     "dim": w.L.dim,
@@ -164,8 +169,6 @@ def cmd_near(args) -> int:
                 }
                 for w in witnesses
             ]
-        if args.mode == "realize":
-            result["realized"] = sorted(realize_near(g, w).to_hex() for w in witnesses)
         if args.parents is not None:
             if not 0 <= args.parents < len(witnesses):
                 print(f"--parents must be a witness index in 0..{len(witnesses) - 1}", file=sys.stderr)

@@ -9,8 +9,11 @@ H: L -> Z2^(dim L) subject to one affinity condition.  This module builds
 the functions, enumerates the (L, H) witnesses, realizes the neighbors,
 decides membership in the per-subspace classes MF_U, and counts
 |M(g)|, the linear n-dim U with f affine on every coset.
-One point formula for U (_triple_points) is behind compose_subspace, the
-witness subspace and realize_near; only witness() re-checks a caller's H.
+One batched point formula for U (_triple_points: the points of S maps H on
+one L at once) is behind compose_subspace, the witness subspace,
+realize_near and near_tables; only witness() re-checks a caller's H.
+near_tables realizes every neighbour of f as one packed row, straight from
+the per-L solution coefficients, with no witness or TruthTable per row.
 One per-L system (_series_equations) is behind member_of_mf_u and m_count:
 a linear U = (L, R, H) is in M(g) iff pi is affine on every coset of L with
 image direction orthogonal(R) and H solves a GF(2) system in k^2 unknowns.
@@ -216,19 +219,28 @@ class SubspaceTriple:
             raise ValueError("H must map into Z2^(dim L)")
 
 
-def _triple_points(L: AffineSubspace, R: LinearSubspace, H: Optional[AffineMap], I: tuple[int, ...]) -> list[int]:
-    """The 2^n points (embed_bits(H(y), I) xor z, y), y in L and z in R, of Z2^2n:
-    the base point spanned by L's rows with H's differences, then by R's rows."""
-    n = L.ambient
+def _anchor_values(L: AffineSubspace, H: Optional[AffineMap]) -> np.ndarray:
+    """H's values at L's anchor points (the base, then the base xor each
+    basis row) as one (1, dim L + 1) row; [[0]] when H is None."""
+    if H is None:
+        return np.zeros((1, 1), dtype=np.int64)
     b = L.base
-    hb = H.evaluate(b) if H is not None else 0
-    pts = [(b << n) | embed_bits(hb, I)]
-    for v in L.direction.basis:
-        step = (v << n) | embed_bits(H.evaluate(b ^ v) ^ hb, I)
-        pts += [p ^ step for p in pts]
-    for z in R.basis:
-        pts += [p ^ z for p in pts]
-    return pts
+    return np.array([[H.evaluate(b)] + [H.evaluate(b ^ v) for v in L.direction.basis]], dtype=np.int64)
+
+
+def _triple_points(L: AffineSubspace, R: LinearSubspace, anchors: np.ndarray, I: tuple[int, ...]) -> np.ndarray:
+    """The 2^n points (embed_bits(H(y), I) xor z, y), y in L and z in R, of Z2^2n
+    for S maps H at once.  Row s of the (S, k + 1) `anchors` holds map s's
+    values at L's anchor points, and row s of the (S, 2^n) result is its
+    subspace: the base point spanned by L's rows with H's differences, then
+    by R's rows."""
+    n = L.ambient
+    emb = np.array([embed_bits(h, I) for h in range(1 << len(I))])[anchors]
+    steps = np.array(L.direction.basis, dtype=np.int64) << n | emb[:, 1:] ^ emb[:, :1]
+    pts = (L.base << n) | emb[:, :1]
+    for i in range(len(I)):
+        pts = np.concatenate((pts, pts ^ steps[:, i, None]), axis=1)
+    return (pts[:, None, :] ^ np.array(R.points())[:, None]).reshape(len(anchors), 1 << n)
 
 
 def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = None) -> AffineSubspace:
@@ -243,7 +255,8 @@ def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = No
         raise ValueError("information set size must equal dim L")
     if not all(0 < a < b for a, b in zip(I, I[1:] + (t.L.ambient + 1,))):
         raise ValueError("information set must be strictly increasing within 1..n")
-    return affine_hull_or_none(_triple_points(t.L, t.R, t.H, I), 2 * t.L.ambient)
+    pts = _triple_points(t.L, t.R, _anchor_values(t.L, t.H), I)[0]
+    return affine_hull_or_none(pts.tolist(), 2 * t.L.ambient)
 
 
 def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
@@ -312,6 +325,17 @@ class HSolutionSpace:
             values[b ^ v] = (coeff >> ((i + 1) * k)) & mask
         return AffineMap.from_values(self.domain, values, k)
 
+    def coefficients(self) -> np.ndarray:
+        """Every solution's coefficient vector, particular xor span(kernel), in
+        span order; empty when there is none.  int64, or Python ints when the
+        k(k+1) bits exceed 63 (k = 8)."""
+        if self.particular is None:
+            return np.zeros(0, dtype=np.int64)
+        out = np.array([self.particular], dtype=np.int64 if self.width * (self.width + 1) < 64 else object)
+        for kv in self.kernel:
+            out = np.concatenate((out, out ^ kv))
+        return out
+
     def maps(self) -> list[Optional[AffineMap]]:
         """All solutions, sorted by (matrix rows, constant); [None] for a
         dim-0 domain, where H is None."""
@@ -319,13 +343,7 @@ class HSolutionSpace:
             return []
         if self.width == 0:
             return [None]
-        out = []
-        for sel in range(1 << len(self.kernel)):
-            coeff = self.particular
-            for j, kv in enumerate(self.kernel):
-                if (sel >> j) & 1:
-                    coeff ^= kv
-            out.append(self._coeff_to_map(coeff))
+        out = [self._coeff_to_map(int(c)) for c in self.coefficients()]
         out.sort(key=lambda h: (h.matrix.rows, h.constant))
         return out
 
@@ -450,8 +468,30 @@ def near_count(g: MMFunction) -> int:
 def realize_near(g: MMFunction, w: NearBentWitness) -> TruthTable:
     """The bent function f xor 1_U named by a witness of g from near_enumerate
     or witness(); it is not re-checked here."""
-    bits = sum(1 << p for p in _triple_points(w.L, w.R, w.H, w.info_set))
-    return build_mmf(g) ^ TruthTable(2 * w.L.ambient, bits)
+    pts = _triple_points(w.L, w.R, _anchor_values(w.L, w.H), w.info_set)[0]
+    return build_mmf(g) ^ TruthTable(2 * w.L.ambient, sum(1 << p for p in pts.tolist()))
+
+
+def near_tables(g: MMFunction) -> np.ndarray:
+    """Every closest bent neighbour f xor 1_U as one packed row.
+
+    The same set as realize_near over near_enumerate, without a witness
+    object: per L the solution coefficients give H's anchor values, and one
+    _triple_points call gives the subspaces of all its H.  The result is a
+    (near_count(g), 2^(2n) / 8) uint8 array of distinct rows, packed like
+    np.packbits(TruthTable.to_u8(), bitorder="little"), in no set order.
+    """
+    points = []
+    for k in range(g.n + 1):
+        shifts = np.arange(k + 1) * k
+        for L in image_subspaces(g.pi, k):
+            space = h_solution_space(g, L)
+            anchors = ((space.coefficients()[:, None] >> shifts) & ((1 << k) - 1)).astype(np.int64)
+            points.append(_triple_points(L, orthogonal(space.image), anchors, space.info_set))
+    pts = np.concatenate(points)
+    values = np.repeat(build_mmf(g).to_u8()[None, :], len(pts), axis=0)
+    values[np.arange(len(pts))[:, None], pts] ^= 1
+    return np.packbits(values, axis=1, bitorder="little")
 
 
 def coincidence_parents(

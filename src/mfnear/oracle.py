@@ -11,7 +11,11 @@ tests check mmf.m_count against.  Randomized runs are reproducible from
 
 The brute neighbour scan re-checks its own output: every f xor 1_U it
 finds is verified bent from its Walsh spectrum, all of them at once by one
-batched transform (boolfun.bent_rows).
+batched transform (boolfun.bent_rows).  near_brute returns the packed rows
+it bent-checked, the form mmf.near_tables gives the criterion side, so
+verify_near_equality and near_mf_census compare the two as sets of rows.  The rows are built from the
+kernel scan alone: near_brute shares only boolfun primitives with mmf,
+never near_tables, which is the side being checked.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .mmf import (
     image_subspaces,
     m_count,
     near_count,
-    near_enumerate,
+    near_tables,
     realize_near,
     witness,
 )
@@ -132,14 +136,15 @@ def _timed(label: str, passed: bool, work: dict, witness_str: Optional[str], t0:
 # closest bent functions by full subspace scan
 
 
-def near_brute(f: TruthTable) -> set[TruthTable]:
+def near_brute(f: TruthTable) -> np.ndarray:
     """All bent functions f xor 1_U over every n-dim affine U with f|_U affine.
 
     Scans all 2^n * gb(2n, n) affine subspaces with the coset kernel.  The
     truth tables of all hits are then built in one array (f's values per
     hit, with the hit's coset points flipped) and every one is re-verified
     bent by a single batched Walsh transform; a non-bent neighbour raises
-    AssertionError.
+    AssertionError.  Returns those rows packed, one distinct row per
+    neighbour in scan order, in the form of mmf.near_tables.
     """
     if f.m % 2 or f.m > 8:
         raise ValueError("brute scan supports even m <= 8")
@@ -153,8 +158,7 @@ def near_brute(f: TruthTable) -> set[TruthTable]:
     values[np.arange(len(sub))[:, None], reps[sub, coset, None] ^ spans[sub]] ^= 1
     if not bent_rows(values).all():
         raise AssertionError("scan produced a non-bent neighbor")
-    packed = np.packbits(values, axis=1, bitorder="little")
-    return {TruthTable(f.m, int.from_bytes(row.tobytes(), "little")) for row in packed}
+    return np.packbits(values, axis=1, bitorder="little")
 
 
 def near_brute_count(f: TruthTable) -> int:
@@ -167,6 +171,10 @@ def near_brute_count(f: TruthTable) -> int:
     return int(hits.sum())
 
 
+def _row_set(packed: np.ndarray) -> set[bytes]:
+    return {row.tobytes() for row in packed}
+
+
 def verify_near_equality(trials: int, seed: int) -> VerificationOutcome:
     """The criterion's realized neighbours equal the brute scan's, as sets,
     on seeded random MF functions at 2n = 6."""
@@ -175,8 +183,7 @@ def verify_near_equality(trials: int, seed: int) -> VerificationOutcome:
     results = []
     for _ in range(trials):
         g = MMFunction.random(3, rng)
-        realized = {realize_near(g, w).bits for w in near_enumerate(g)}
-        results.append(realized == {t.bits for t in near_brute(build_mmf(g))})
+        results.append(_row_set(near_tables(g)) == _row_set(near_brute(build_mmf(g))))
     ok = all(results)
     return _timed(
         "criterion vs brute near sets at 2n=6",
@@ -460,17 +467,17 @@ def near_mf_census(mode: str = "brute") -> VerificationOutcome:
     """Global dedup census of near(MF_4): 512 outside MF, 896 in the union."""
     t0 = time.perf_counter()
     n = 2
-    mf_tables = set()
-    union: set[int] = set()
+    mf_tables: set[bytes] = set()
+    union: set[bytes] = set()
     per_counts = set()
     count_funcs = 0
     for g in all_mf_functions(n):
         f = build_mmf(g)
-        mf_tables.add(f.bits)
+        mf_tables.add(np.packbits(f.to_u8(), bitorder="little").tobytes())
         if mode == "brute":
-            neighbors = {t.bits for t in near_brute(f)}
+            neighbors = _row_set(near_brute(f))
         elif mode == "criterion":
-            neighbors = {realize_near(g, w).bits for w in near_enumerate(g)}
+            neighbors = _row_set(near_tables(g))
         else:
             raise ValueError("mode must be brute or criterion")
         per_counts.add(len(neighbors))

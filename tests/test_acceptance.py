@@ -9,9 +9,10 @@ from fractions import Fraction
 
 from mfnear import counting as C
 from mfnear import oracle
-from mfnear.boolfun import ea_transform, walsh_transform
+from mfnear.boolfun import ea_transform
 from mfnear.gf2 import random_invertible
-from mfnear.mmf import MMFunction, build_mmf, near_count, near_enumerate, realize_near
+from mfnear.mmf import MMFunction, build_mmf, near_count, near_tables
+from reference import walsh_transform
 
 # printed table cells, frozen from the published tables
 TABLE1_TAIL = {
@@ -109,9 +110,9 @@ def test_criterion_02_table2_log2_rows():
 
 
 def _sets_equal(g):
-    f = build_mmf(g)
-    realized = {realize_near(g, w).bits for w in near_enumerate(g)}
-    brute = {t.bits for t in oracle.near_brute(f)}
+    # both sides in the packed-row form that near_tables and near_brute share
+    realized = {row.tobytes() for row in near_tables(g)}
+    brute = {row.tobytes() for row in oracle.near_brute(build_mmf(g))}
     return realized == brute
 
 

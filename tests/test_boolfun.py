@@ -11,12 +11,10 @@ from mfnear.boolfun import (
     all_affine_patterns,
     bent_rows,
     ea_transform,
-    hamming_distance,
+    hex_rows,
     is_affine_on,
     is_bent,
     walsh_rows,
-    walsh_transform,
-    xor_indicator,
 )
 from mfnear.gf2 import (
     AffineSubspace,
@@ -26,6 +24,7 @@ from mfnear.gf2 import (
     linear_subspace_bases,
     random_invertible,
 )
+from reference import hamming_distance, walsh_transform, xor_indicator
 
 
 def brute_walsh(f):
@@ -86,6 +85,48 @@ def test_walsh_rows_matches_transform_and_definition():
         flags = bent_rows(values).tolist()
         assert flags == [is_bent(t) for t in tables]
         assert flags[-2] and not flags[-1]
+
+
+def int64_walsh_rows(values):
+    """The textbook butterfly in int64: pass h combines x and x xor h."""
+    rows, size = values.shape
+    w = 1 - 2 * values.astype(np.int64)
+    h = 1
+    while h < size:
+        w = w.reshape(rows, size // (2 * h), 2, h)
+        w = np.stack((w[:, :, 0] + w[:, :, 1], w[:, :, 0] - w[:, :, 1]), axis=2).reshape(rows, size)
+        h *= 2
+    return w
+
+
+def test_walsh_rows_int16_equals_int64_reference():
+    rng = np.random.default_rng(7)
+    for m in range(2, 15):
+        values = rng.integers(0, 2, (3, 1 << m), dtype=np.uint8)
+        spectra = walsh_rows(values)
+        assert spectra.dtype == np.int16
+        assert (spectra == int64_walsh_rows(values)).all()
+
+
+def test_walsh_rows_affine_peak_past_the_int16_range():
+    # f = <a, x> xor 1 has W(a) = -2^m, the largest |W| there is: it fits
+    # int16 at m = 14 and would overflow it at m = 15 and 16
+    for m in (14, 15, 16):
+        x = np.arange(1 << m)
+        a = (1 << m) - 3
+        row = (np.bitwise_count(x & a) & 1).astype(np.uint8) ^ 1
+        w = walsh_rows(row[None, :])[0]
+        assert w.dtype == (np.int16 if m <= 14 else np.int32)
+        assert w[a] == -(1 << m) and np.count_nonzero(w) == 1
+
+
+def test_hex_rows_match_to_hex():
+    rng = random.Random(9)
+    for m in range(1, 11):
+        tables = [TruthTable(m, rng.getrandbits(1 << m)) for _ in range(4)] + [TruthTable.zero(m)]
+        packed = np.array([np.packbits(t.to_u8(), bitorder="little") for t in tables])
+        assert hex_rows(packed, m) == [t.to_hex() for t in tables]
+        assert hex_rows(packed[:0], m) == []
 
 
 def test_walsh_rows_shapes():

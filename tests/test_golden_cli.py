@@ -1,4 +1,5 @@
-"""Pinned `near` output: list-mode fields, dim-2 parents and realized tables.
+"""Pinned `near` output: list-mode fields, dim-2 parents and realized tables,
+on the criterion side and on the brute scan (`--brute`).
 
 The digests are sha256 of the exact stdout bytes of `mfnear near` on fixed
 inputs (drawn once by MMFunction.random(n, random.Random(seed)) for
@@ -33,6 +34,11 @@ GOLDEN = [
     ("n4", ("--mode", "list"), "36cb30083178a6486fe81beb44861edc7f0de394a6b0093deb4b99f2215681fa"),
     ("n4", ("--mode", "realize"), "912ca0ba888425eb5aca05241e44f5c8307cd6d0f1ec5f8173fb8f6c0cf2dc0a"),
     ("n4", ("--mode", "list", "--parents", "496"), "ac6b3570d716b99368da0578587b721b472ca3de5074b22f44c5cea56786f91e"),
+    ("n2", ("--mode", "realize", "--brute"), "0dd2c0d0ac173bcea5604b3908f166d65e2324086d26b087f3eed76c77bdaec5"),
+    ("n3a", ("--mode", "realize", "--brute"), "e5d999046aa2fb8198ccff0cae38dfc62cce9ad1323f98175b5e911a6d814c6c"),
+    ("n4", ("--mode", "realize", "--brute"), "19ca14d564c3c0e60375fafe05585443905f891df381334ed408e097a02971b6"),
+    ("n2", ("--mode", "realize", "--parents", "28"), "58bb9f17ed15a79e125f7267ed25157f33e06bda771f7a72e62d1964cb537755"),
+    ("n4", ("--mode", "realize", "--parents", "496"), "e7ea5de25612ff38c56c0daf269f26a1358e3c8d65ea1613ae2965f38d704e57"),
 ]
 
 

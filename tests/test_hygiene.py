@@ -16,6 +16,7 @@ PACKAGE = ROOT / "src" / "mfnear"
 # imports kept although the importing module does not use them
 UNUSED_IMPORT_ALLOWED = {
     ("oracle", "is_bent"): "bench/tracing.py WRAPS patches oracle.is_bent",
+    ("cli", "realize_near"): "bench/tracing.py WRAPS patches cli.realize_near",
 }
 
 
@@ -87,3 +88,17 @@ def test_criterion_module_does_not_import_the_scan():
             imported.add((node.module or "").split(".")[-1])
             imported |= {alias.name for alias in node.names}
     assert not imported & {"kernels", "scan"}, sorted(imported & {"kernels", "scan"})
+
+
+def test_brute_neighbour_scan_uses_no_criterion_code():
+    # the near suites check mmf.near_tables against oracle.near_brute, so the
+    # scan may share boolfun primitives with the criterion but no mmf code
+    mmf_defs = {
+        node.name for node in _tree(PACKAGE / "mmf.py").body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    scan = next(
+        node for node in _tree(PACKAGE / "oracle.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "near_brute"
+    )
+    used = {node.id for node in ast.walk(scan) if isinstance(node, ast.Name)}
+    assert not used & mmf_defs, sorted(used & mmf_defs)

@@ -3,11 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfnear.boolfun import TruthTable, hamming_distance, is_affine_on, is_bent, xor_indicator
+from mfnear.boolfun import TruthTable, is_affine_on, is_bent
 from mfnear.counting import lambda_
 from mfnear.gf2 import (
     AffineMap,
@@ -15,12 +16,15 @@ from mfnear.gf2 import (
     LinearSubspace,
     affine_hull_or_none,
     dot,
+    embed_bits,
     enumerate_subspaces,
     gaussian_binomial,
     linear_subspace_bases,
+    orthogonal,
     random_invertible,
 )
 from mfnear.mmf import (
+    HSolutionSpace,
     MMFunction,
     Permutation,
     SubspaceTriple,
@@ -35,10 +39,13 @@ from mfnear.mmf import (
     member_of_mf_u,
     near_count,
     near_enumerate,
+    near_tables,
     realize_near,
     witness,
 )
+from mfnear.mmf import _anchor_values, _triple_points
 from mfnear import oracle
+from reference import hamming_distance, row_tables, xor_indicator
 
 
 def x_side(n):
@@ -546,3 +553,104 @@ def test_subspace_triple_validation():
     R = LinearSubspace.from_vectors([2], 3)
     with pytest.raises(ValueError):
         SubspaceTriple(L, R, None)  # dims do not add to n
+
+
+def gf_inversion(n, poly):
+    """y -> y^(2^n - 2) in GF(2^n) = Z2[t] / poly, with 0 -> 0."""
+
+    def mul(a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a >> n:
+                a ^= poly
+        return r
+
+    size = 1 << n
+    inv = [0] + [next(b for b in range(1, size) if mul(a, b) == 1) for a in range(1, size)]
+    return Permutation(tuple(inv), n)
+
+
+def near_tables_inputs():
+    rng = random.Random(61)
+    yield from all_mf4()
+    for n, count in ((3, 20), (4, 5)):
+        for _ in range(count):
+            yield MMFunction.random(n, rng)
+    for pi in (
+        Permutation.identity(3),
+        Permutation.identity(4),
+        gf_inversion(3, 0b1011),
+        gf_inversion(4, 0b10011),
+        Permutation(tuple((5 * y + 3) % 16 for y in range(16)), 4),
+    ):
+        yield MMFunction(pi, TruthTable(pi.n, rng.getrandbits(1 << pi.n)))
+
+
+def test_near_tables_rows_are_the_realized_witnesses():
+    for g in near_tables_inputs():
+        rows = near_tables(g)
+        assert rows.dtype == np.uint8 and rows.shape == (near_count(g), (1 << 2 * g.n) // 8)
+        tables = row_tables(rows, 2 * g.n)
+        assert len(tables) == len(rows)
+        assert tables == {realize_near(g, w) for w in near_enumerate(g)}
+
+
+def test_triple_points_batched_equal_the_definition():
+    rng = random.Random(63)
+    for n in (2, 3, 4):
+        g = MMFunction.random(n, rng)
+        for k in range(n + 1):
+            for L in image_subspaces(g.pi, k)[:6]:
+                space = h_solution_space(g, L)
+                R = orthogonal(space.image)
+                maps = space.maps()
+                anchors = np.array([_anchor_values(L, H)[0] for H in maps], dtype=np.int64).reshape(-1, k + 1)
+                batched = _triple_points(L, R, anchors, space.info_set)
+                assert batched.shape == (len(maps), 1 << n)
+                for H, row in zip(maps, batched):
+                    h = H.evaluate if H is not None else (lambda y: 0)
+                    expected = [
+                        (y << n) | (embed_bits(h(y), space.info_set) ^ z) for z in R.points() for y in L.points()
+                    ]
+                    assert row.tolist() == expected
+
+
+def coefficient_maps(space):
+    """The AffineMap of every coefficient vector of space.coefficients()."""
+    L, k = space.domain, space.width
+    anchors = [L.base] + [L.base ^ v for v in L.direction.basis]
+    return [
+        AffineMap.from_values(L, {a: (int(c) >> (i * k)) & ((1 << k) - 1) for i, a in enumerate(anchors)}, k)
+        for c in space.coefficients()
+    ]
+
+
+def test_coefficients_expand_to_the_maps():
+    rng = random.Random(65)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            g = MMFunction.random(n, rng)
+            for k in range(1, n + 1):
+                for L in image_subspaces(g.pi, k):
+                    space = h_solution_space(g, L)
+                    coeffs = space.coefficients()
+                    assert len(coeffs) == space.count == len(set(coeffs.tolist()))
+                    maps = coefficient_maps(space)
+                    assert sorted(maps, key=lambda h: (h.matrix.rows, h.constant)) == space.maps()
+    dim0 = h_solution_space(MMFunction.random(3, rng), AffineSubspace.from_point(6, 3))
+    assert dim0.coefficients().tolist() == [0] and dim0.maps() == [None]
+    # no H solves the full-space L of this function
+    empty = h_solution_space(MMFunction.random(3, random.Random(6)), AffineSubspace(0, LinearSubspace.full(3)))
+    assert empty.count == 0 and empty.coefficients().shape == (0,) and empty.maps() == []
+
+
+def test_coefficients_beyond_63_bits_stay_exact():
+    # k = 8 has k(k+1) = 72 coefficient bits, more than an int64 holds
+    full = LinearSubspace.full(8)
+    p, k1, k2 = (1 << 71) | 5, 1 << 64, (1 << 70) | 3
+    space = HSolutionSpace(AffineSubspace(0, full), 8, full, full.pivots, p, (k1, k2))
+    assert space.coefficients().tolist() == [p, p ^ k1, p ^ k2, p ^ k1 ^ k2]

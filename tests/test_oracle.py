@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfnear import counting, kernels, oracle
-from mfnear.boolfun import TruthTable, is_bent, xor_indicator
+from mfnear.boolfun import TruthTable, is_bent
 from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
-from mfnear.mmf import MMFunction, build_mmf, near_enumerate, realize_near
+from mfnear.mmf import MMFunction, build_mmf, near_enumerate, near_tables, realize_near
+from reference import row_tables, xor_indicator
 
 
 def test_near_brute_uniform_60_on_sample():
@@ -19,7 +20,7 @@ def test_near_brute_uniform_60_on_sample():
         f = build_mmf(g)
         neighbors = oracle.near_brute(f)
         assert len(neighbors) == 60
-        for t in itertools.islice(neighbors, 3):
+        for t in itertools.islice(row_tables(neighbors, f.m), 3):
             assert is_bent(t)
 
 
@@ -42,7 +43,9 @@ def test_near_brute_matches_per_hit_reference():
     for n in (1, 2, 3):
         for _ in range(3):
             f = build_mmf(MMFunction.random(n, rng))
-            assert oracle.near_brute(f) == near_brute_per_hit(f)
+            rows = oracle.near_brute(f)
+            assert len(rows) == len(row_tables(rows, f.m))
+            assert row_tables(rows, f.m) == near_brute_per_hit(f)
 
 
 def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
@@ -64,7 +67,9 @@ def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
 @given(st.integers(2, 3), st.integers(0, 2**32))
 def test_criterion_equals_oracle_random(n, seed):
     g = MMFunction.random(n, random.Random(seed))
-    assert {realize_near(g, w) for w in near_enumerate(g)} == oracle.near_brute(build_mmf(g))
+    brute = oracle.near_brute(build_mmf(g))
+    assert {realize_near(g, w) for w in near_enumerate(g)} == row_tables(brute, 2 * n)
+    assert {row.tobytes() for row in near_tables(g)} == {row.tobytes() for row in brute}
 
 
 def test_verify_near_equality_reports_disagreement(monkeypatch):
@@ -74,7 +79,7 @@ def test_verify_near_equality_reports_disagreement(monkeypatch):
     def wrong_on_second(f):
         calls.append(f)
         found = real(f)
-        return found if len(calls) != 2 else set(list(found)[1:])
+        return found if len(calls) != 2 else found[1:]
 
     monkeypatch.setattr(oracle, "near_brute", wrong_on_second)
     out = oracle.verify_near_equality(trials=3, seed=5)
