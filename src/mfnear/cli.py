@@ -207,6 +207,7 @@ def _run_suite(name: str, seed: int, trials: int) -> list[oracle.VerificationOut
         return [
             oracle.verify_beta(4),
             oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
+            oracle.verify_two_coset_lower(8, trials=max(3, trials // 4), seed=seed),
         ]
     if name == "near":
         return [oracle.verify_near_equality(trials=trials, seed=seed)]

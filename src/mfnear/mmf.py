@@ -14,9 +14,13 @@ one L at once) is behind compose_subspace, the witness subspace,
 realize_near and near_tables; only witness() re-checks a caller's H.
 near_tables realizes every neighbour of f as one packed row, straight from
 the per-L solution coefficients, with no witness or TruthTable per row.
-One per-L system (_series_equations) is behind member_of_mf_u and m_count:
-a linear U = (L, R, H) is in M(g) iff pi is affine on every coset of L with
-image direction orthogonal(R) and H solves a GF(2) system in k^2 unknowns.
+One flatness test (_image_direction) decides whether pi(L) is a flat, and
+one per-flat builder (_flat_equations) gives the GF(2) system that makes
+t -> <H(t), pi_I(t)> xor phi(t) affine on a flat.  h_solution_space solves
+it on one L for near(f); _series_equations stacks it over every coset of
+a linear L for member_of_mf_u and m_count: a linear U = (L, R, H) is in
+M(g) iff pi is affine on every coset of L with image direction
+orthogonal(R) and H solves the stacked system in k^2 unknowns.
 Nothing here uses the brute-force subspace scan; the oracle module checks
 this criterion against it.
 """
@@ -174,24 +178,29 @@ def decode_mm(f: TruthTable) -> Optional[MMFunction]:
     return MMFunction(Permutation(tuple(table), n), TruthTable(n, phi_bits))
 
 
-def _image_is_affine(pi: Permutation, U: AffineSubspace) -> bool:
-    k = U.dim
-    if k <= 1:
-        return True
-    pts = U.points()
-    if k == 2:
-        t = pi.table
-        return t[pts[0]] ^ t[pts[1]] ^ t[pts[2]] ^ t[pts[3]] == 0
-    base = pi.table[pts[0]]
-    rows, _ = rref_rows((pi.table[p] ^ base for p in pts[1:]), pi.n)
-    return len(rows) == k
+def _image_direction(pi: Permutation, L: AffineSubspace) -> Optional[LinearSubspace]:
+    """Direction of pi(L) when that image is an affine subspace, else None.
+
+    The image is a flat iff its differences from the base point's image span
+    only 2^(dim L) points; at dim 2 that is the XOR of the four images.
+    """
+    t = pi.table
+    pts = L.points()
+    base = t[pts[0]]
+    if L.dim == 2 and t[pts[1]] ^ t[pts[2]] ^ t[pts[3]] ^ base:
+        return None
+    rows, _ = rref_rows((t[p] ^ base for p in pts[1:]), pi.n)
+    return LinearSubspace._from_rref(rows, pi.n) if len(rows) == L.dim else None
 
 
 def image_subspaces(pi: Permutation, k: int) -> list[AffineSubspace]:
     """All k-dimensional affine subspaces whose pi-image is again affine."""
     if not 0 <= k <= pi.n:
         raise ValueError("k out of range")
-    return [U for U in enumerate_subspaces(pi.n, k, affine=True) if _image_is_affine(pi, U)]
+    flats = enumerate_subspaces(pi.n, k, affine=True)
+    if k <= 1:  # every image of at most two points is a flat
+        return list(flats)
+    return [U for U in flats if _image_direction(pi, U) is not None]
 
 
 @dataclass(frozen=True)
@@ -348,54 +357,56 @@ class HSolutionSpace:
         return out
 
 
-def _image_direction(pi: Permutation, L: AffineSubspace) -> LinearSubspace:
-    """Direction of the affine subspace pi(L); L must have an affine image."""
-    hull = affine_hull_or_none((pi.table[p] for p in L.points()), pi.n)
-    if hull is None:
-        raise ValueError("pi image of L is not an affine subspace")
-    return hull.direction
+def _flat_equations(g: MMFunction, a: int, span: list[int], I: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The affinity system of one flat a + L, L = span(u_1, ..., u_k).
+
+    `span` lists L's points in basis-combination order (entry eps is the
+    XOR of the u_i selected by eps's bits) and I is the information set of
+    the pi-image direction of a + L.  The unknowns are H's values at the
+    anchors a, a ^ u_1, ..., a ^ u_k, in bits 0..k-1, k..2k-1, and so on;
+    an affine H makes t -> <H(a ^ t), pi_I(a ^ t)> xor phi(a ^ t) affine
+    on L iff <coefficients, row> = rhs for every row.  There is one row per
+    eps of weight w >= 2: the composite at eps must equal (1 + w) times its
+    value at a plus its values at the anchors a ^ u_i, i in eps.
+    """
+    k = len(I)
+    table = g.pi.table
+    phi = g.phi.bits
+    c = [project_bits(table[a ^ p], I) for p in span]
+    f = [(phi >> (a ^ p)) & 1 for p in span]
+    rows: list[int] = []
+    rhs: list[int] = []
+    for eps in range(3, 1 << k):
+        w = eps.bit_count()
+        if w < 2:
+            continue
+        row, r = (0, f[eps]) if w & 1 else (c[eps] ^ c[0], f[eps] ^ f[0])
+        for i in range(k):
+            if (eps >> i) & 1:
+                row |= (c[eps] ^ c[1 << i]) << ((i + 1) * k)
+                r ^= f[1 << i]
+        rows.append(row)
+        rhs.append(r)
+    return rows, rhs
 
 
 def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     """Solve for all affine H with <H(x), pi_I(x)> xor phi(x) affine on L.
 
-    The unknowns are the k(k+1) bits of H's values at the anchor points;
-    affinity of the composite on L contributes one linear constraint per
+    The unknowns are the k(k+1) bits of H's values at the anchor points
+    L.base, L.base ^ u_i; _flat_equations gives one linear constraint per
     span combination of weight >= 2, so the solution count is 0 or a power
-    of two.
+    of two.  Raises ValueError unless the pi-image of L is a flat.
     """
     k = L.dim
     image = _image_direction(g.pi, L)
+    if image is None:
+        raise ValueError("pi image of L is not an affine subspace")
     I = information_set(image)
     if k == 0:
         return HSolutionSpace(L, 0, image, I, 0, ())
-    width = k * (k + 1)
-
-    # projected images and phi values at all span combinations: point eps
-    # of L.points() is the base xor the basis rows selected by eps's bits
-    pts = L.points()
-    cvec = [project_bits(g.pi.table[p], I) for p in pts]
-    fval = [g.phi.value(p) for p in pts]
-
-    rows: list[int] = []
-    rhs: list[int] = []
-    for eps in range(1 << k):
-        w = eps.bit_count()
-        if w < 2:
-            continue
-        row = 0
-        if (1 + w) & 1:
-            row |= cvec[eps] ^ cvec[0]
-        r = fval[eps] ^ ((1 + w) & 1) * fval[0]
-        for i in range(k):
-            if (eps >> i) & 1:
-                anchor = 1 << i
-                row |= (cvec[eps] ^ cvec[anchor]) << ((i + 1) * k)
-                r ^= fval[anchor]
-        rows.append(row)
-        rhs.append(r & 1)
-
-    sol = solve_linear(rows, rhs, width)
+    rows, rhs = _flat_equations(g, L.base, L.direction.points(), I)
+    sol = solve_linear(rows, rhs, k * (k + 1))
     if sol is None:
         return HSolutionSpace(L, k, image, I, None, ())
     particular, kernel = sol
@@ -426,24 +437,51 @@ def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBen
     """Package a caller's (L, H) pair with its information set and R; raises
     ValueError unless f is affine on the subspace (a closest bent neighbor)."""
     image = _image_direction(g.pi, L)
+    if image is None:
+        raise ValueError("pi image of L is not an affine subspace")
     w = NearBentWitness(L, H, information_set(image), orthogonal(image))
     if is_affine_on(build_mmf(g), w.subspace) is None:
         raise ValueError("witness subspace is not an affinity subspace of f")
     return w
 
 
+_EXPANSION_BUDGET = 1 << 26
+
+
+def _solved_flats(g: MMFunction) -> list[HSolutionSpace]:
+    """The H solutions of every L with a flat pi-image, by dim L and then in
+    image_subspaces order, all solved before any is expanded.
+
+    Raises ValueError as soon as the closest bent functions, truth tables of
+    2^(2n) bits each, would exceed _EXPANSION_BUDGET = 2^26 bits together:
+    pi = identity, phi = 0 at 2n = 10 has 2423520 of them, 2.5 GB as bytes.
+    """
+    spaces: list[HSolutionSpace] = []
+    count = 0
+    for k in range(g.n + 1):
+        for L in image_subspaces(g.pi, k):
+            spaces.append(h_solution_space(g, L))
+            count += spaces[-1].count
+            if count << (2 * g.n) > _EXPANSION_BUDGET:
+                raise ValueError(
+                    f"more than {_EXPANSION_BUDGET >> (2 * g.n)} closest bent functions on {2 * g.n} "
+                    f"variables: past the budget of {_EXPANSION_BUDGET} truth-table bits for listing "
+                    "or realizing them; near --mode count gives their number"
+                )
+    return spaces
+
+
 def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
     """All closest-bent witnesses (L, H), in canonical order.
 
     The pi-image of L, R and the information set come from the solver once
-    per L and are shared by every H of that L.
+    per L and are shared by every H of that L.  Raises ValueError past
+    _EXPANSION_BUDGET (see _solved_flats), before building any witness.
     """
     out: list[NearBentWitness] = []
-    for k in range(g.n + 1):
-        for L in image_subspaces(g.pi, k):
-            space = h_solution_space(g, L)
-            R = orthogonal(space.image)
-            out += [NearBentWitness(L, H, space.info_set, R) for H in space.maps()]
+    for space in _solved_flats(g):
+        R = orthogonal(space.image)
+        out += [NearBentWitness(space.domain, H, space.info_set, R) for H in space.maps()]
     return out
 
 
@@ -480,14 +518,14 @@ def near_tables(g: MMFunction) -> np.ndarray:
     _triple_points call gives the subspaces of all its H.  The result is a
     (near_count(g), 2^(2n) / 8) uint8 array of distinct rows, packed like
     np.packbits(TruthTable.to_u8(), bitorder="little"), in no set order.
+    Raises ValueError past _EXPANSION_BUDGET (see _solved_flats), before
+    expanding any solution.
     """
     points = []
-    for k in range(g.n + 1):
-        shifts = np.arange(k + 1) * k
-        for L in image_subspaces(g.pi, k):
-            space = h_solution_space(g, L)
-            anchors = ((space.coefficients()[:, None] >> shifts) & ((1 << k) - 1)).astype(np.int64)
-            points.append(_triple_points(L, orthogonal(space.image), anchors, space.info_set))
+    for space in _solved_flats(g):
+        k = space.width
+        anchors = ((space.coefficients()[:, None] >> (np.arange(k + 1) * k)) & ((1 << k) - 1)).astype(np.int64)
+        points.append(_triple_points(space.domain, orthogonal(space.image), anchors, space.info_set))
     pts = np.concatenate(points)
     values = np.repeat(build_mmf(g).to_u8()[None, :], len(pts), axis=0)
     values[np.arange(len(pts))[:, None], pts] ^= 1
@@ -543,37 +581,27 @@ def coincidence_parents(
     return parents
 
 
-@lru_cache(maxsize=None)
-def _anf_masks(k: int) -> tuple[tuple[int, ...], int]:
-    """Moebius-transform masks on 2^k-bit truth tables: per variable i the
-    points with bit i clear, and the monomials of degree 3 or more."""
-    lows = tuple(sum(1 << e for e in range(1 << k) if not (e >> i) & 1) for i in range(k))
-    return lows, sum(1 << e for e in range(1 << k) if e.bit_count() >= 3)
-
-
 def _series_equations(
     g: MMFunction, basis: tuple[int, ...]
 ) -> Optional[tuple[LinearSubspace, list[int], list[int]]]:
     """The linear system for H on the linear L = span(basis), an rref basis.
 
-    None unless pi is affine on every coset a + L with one image direction W
-    and phi has degree at most 2 on every coset.  Otherwise (W, rows, rhs):
-    a linear H: L -> Z2^k, coded with h_i = H(basis[i]) in bits ik..ik+k-1,
-    makes f affine on every coset of U = (L, orthogonal(W), H) iff
-    <H, row> = rhs for every row.  Per coset and pair i < j the row is
-    <h_i, m_j> xor <h_j, m_i> = the t_i t_j coefficient of the ANF of
-    t -> phi(a + sum t_i basis[i]), with m_j = pi_I(a + basis[j]) xor pi_I(a).
+    None unless pi is affine on every coset a + L with one image direction
+    W.  Otherwise (W, rows, rhs): a linear H: L -> Z2^k, coded with
+    h_i = H(basis[i]) in bits ik..ik+k-1, makes f affine on every coset of
+    U = (L, orthogonal(W), H) iff <H, row> = rhs for every row.  On the
+    coset a + L, H acts as t -> H(t), which is 0 at the anchor a and h_i at
+    a ^ basis[i]; so the rows are every coset's _flat_equations with the
+    anchor's k bits dropped.
     """
     k = len(basis)
     table = g.pi.table
-    phi = g.phi.bits
     span = [0]
     for v in basis:
         span += [p ^ v for p in span]
-    lows, high = _anf_masks(k)
+    reps = coset_representatives(basis, g.n)
     direction: Optional[set[int]] = None
-    cosets: list[tuple[list[int], int]] = []  # per coset: pi's differences along the basis, phi's ANF
-    for a in coset_representatives(basis, g.n):
+    for a in reps:
         img = [table[a ^ p] for p in span]
         diffs = [img[1 << i] ^ img[0] for i in range(k)]
         lin = [img[0]]
@@ -583,24 +611,17 @@ def _series_equations(
             return None
         image = {x ^ img[0] for x in img}
         if direction is None:
-            direction = image
+            direction, first = image, diffs
         elif image != direction:
             return None
-        anf = sum(((phi >> (a ^ p)) & 1) << e for e, p in enumerate(span))
-        for i, low in enumerate(lows):
-            anf ^= (anf & low) << (1 << i)
-        if anf & high:
-            return None
-        cosets.append((diffs, anf))
-    W = LinearSubspace.from_vectors(cosets[0][0], g.n)
+    W = LinearSubspace.from_vectors(first, g.n)
     I = W.pivots
     rows: list[int] = []
     rhs: list[int] = []
-    for diffs, anf in cosets:
-        m = [project_bits(d, I) for d in diffs]
-        for i, j in itertools.combinations(range(k), 2):
-            rows.append((m[j] << (i * k)) | (m[i] << (j * k)))
-            rhs.append((anf >> ((1 << i) | (1 << j))) & 1)
+    for a in reps:
+        coset_rows, coset_rhs = _flat_equations(g, a, span, I)
+        rows += [row >> k for row in coset_rows]
+        rhs += coset_rhs
     return W, rows, rhs
 
 

@@ -57,6 +57,19 @@ def test_near_count_identity(capsys):
     assert json.loads(out)["count"] == 60
 
 
+@pytest.mark.parametrize("mode", ["realize", "list"])
+def test_near_expansion_past_the_budget_is_a_usage_error(capsys, mode):
+    # pi = identity, phi = 0 at 2n = 10 has 2423520 closest bent functions,
+    # 2.5 GB as truth tables: refused before any is built, and counted instead
+    ident = ("--pi", json.dumps(list(range(32))), "--phi", "0" * 32)
+    rc = cli.main(["near", *ident, "--mode", mode])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert "more than 65536 closest bent functions" in captured.err and "--mode count" in captured.err
+    rc, out = run_cli(capsys, "near", *ident, "--mode", "count")
+    assert rc == 0 and json.loads(out)["count"] == 2423520
+
+
 def test_near_brute_matches_criterion(capsys):
     rc, out1 = run_cli(
         capsys, "near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "realize"
@@ -191,6 +204,15 @@ def test_verify_census_deterministic(capsys):
     rc2, out2 = run_cli(capsys, "verify", "--suite", "census", "--seed", "1")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verify_beta_suite_reports_the_two_coset_bound(capsys):
+    rc, out = run_cli(capsys, "verify", "--suite", "beta", "--seed", "1", "--trials", "4")
+    assert rc == 0
+    outcomes = {o["label"]: o for o in json.loads(out)["outcomes"]}
+    bound = outcomes["two-coset-series lower bound"]
+    assert bound["status"] == "pass" and bound["work"]["trials"] == 3
+    assert all(o["status"] == "pass" for o in outcomes.values())
 
 
 def test_verify_near_suite(capsys):

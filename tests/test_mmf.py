@@ -43,7 +43,7 @@ from mfnear.mmf import (
     realize_near,
     witness,
 )
-from mfnear.mmf import _anchor_values, _triple_points
+from mfnear.mmf import _anchor_values, _image_direction, _triple_points
 from mfnear import oracle
 from reference import hamming_distance, row_tables, xor_indicator
 
@@ -105,15 +105,19 @@ def test_image_subspaces_basics():
 
 
 def test_image_subspaces_against_hull_oracle():
+    # over every flat: _image_direction is the image's hull direction, None
+    # exactly when the image is no flat; the identity makes every image flat
     rng = random.Random(27)
-    for _ in range(20):
-        pi = Permutation.random(3, rng)
-        for k in range(4):
-            expected = [
-                U
-                for U in enumerate_subspaces(3, k, affine=True)
-                if affine_hull_or_none((pi.table[p] for p in U.points()), 3) is not None
-            ]
+    pis = [Permutation.random(3, rng) for _ in range(20)] + [Permutation.random(4, rng) for _ in range(4)]
+    for pi in pis + [Permutation.identity(3), Permutation.identity(4)]:
+        n = pi.n
+        for k in range(n + 1):
+            expected = []
+            for U in enumerate_subspaces(n, k, affine=True):
+                hull = affine_hull_or_none((pi.table[p] for p in U.points()), n)
+                assert _image_direction(pi, U) == (None if hull is None else hull.direction)
+                if hull is not None:
+                    expected.append(U)
             assert image_subspaces(pi, k) == expected
 
 
@@ -225,7 +229,6 @@ def brute_h_count(g, L):
     """Enumerate every affine H: L -> Z2^k and test the composite directly."""
     k = L.dim
     n = g.n
-    from mfnear.mmf import _image_direction
     from mfnear.gf2 import information_set, project_bits
 
     I = information_set(_image_direction(g.pi, L))
@@ -275,6 +278,12 @@ def test_h_solution_dim3_matches_brute():
         space = h_solution_space(g, L)
         brute = brute_h_count(g, L)
         assert space.count == len(brute)
+    # phi = y1 y2 y3 on a flat where pi is affine: <H, pi_I> has degree <= 2,
+    # so no H makes the composite affine and the system is inconsistent
+    for n, base, phi in ((3, 0, 1 << 7), (4, 8, 1 << 15)):
+        g = MMFunction(Permutation.identity(n), TruthTable(n, phi))
+        L3 = AffineSubspace(base, LinearSubspace((1, 2, 4), n))
+        assert h_solution_space(g, L3).count == 0 == len(brute_h_count(g, L3))
 
 
 def test_h_solution_sum_over_restrictions():
@@ -492,6 +501,14 @@ def test_m_count_equals_scan_on_samples(n, trials):
 def test_m_count_identity_pi_at_2n8():
     g = MMFunction(Permutation.identity(4), TruthTable.zero(4))
     assert m_count(g) == oracle._m_count(build_mmf(g)) == 2295
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_m_count_degree3_phi_equals_scan(n):
+    # phi = y1 y2 y3 has degree 3 on every coset of the L that contain e1, e2, e3
+    phi = sum(1 << y for y in range(1 << n) if y & 7 == 7)
+    g = MMFunction(Permutation.identity(n), TruthTable(n, phi))
+    assert m_count(g) == oracle._m_count(build_mmf(g))
 
 
 def test_member_count_for_k1_subspace():
