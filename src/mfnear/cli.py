@@ -53,7 +53,11 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 def _emit(text: str, out: Optional[str]) -> None:
     target = _resolve_out(out)
     if target:
-        with open(target, "w") as fh:
+        try:
+            fh = open(target, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {target}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -107,14 +107,6 @@ def project_bits(x: int, indices: tuple[int, ...]) -> int:
     return y
 
 
-def embed_bits(y: int, indices: tuple[int, ...]) -> int:
-    """Place y's bits at positions `indices`, zero elsewhere."""
-    x = 0
-    for j, i in enumerate(indices):
-        x |= ((y >> j) & 1) << (i - 1)
-    return x
-
-
 @dataclass(frozen=True)
 class LinearSubspace:
     """Linear subspace of Z2^n held as a reduced-row-echelon basis."""
@@ -395,27 +387,6 @@ def solve_linear(rows: list[int], rhs: list[int], width: int) -> Optional[tuple[
                 v |= 1 << p
         kernel.append(v)
     return particular, kernel
-
-
-def coset_rep_on(x: int, space: LinearSubspace, I: tuple[int, ...]) -> int:
-    """The unique element of x + space supported on I.
-
-    Requires the complement of I to be an information set of `space`.
-    """
-    # unknown: the combination c of basis rows that matches x off I
-    comp = [c for c in range(space.ambient) if c + 1 not in I]
-    sol = solve_linear(
-        [sum(((b >> c) & 1) << j for j, b in enumerate(space.basis)) for c in comp],
-        [(x >> c) & 1 for c in comp],
-        space.dim,
-    )
-    if sol is None or sol[1]:  # no element, or more than one, of x + space is supported on I
-        raise ValueError("complement of I is not an information set of the space")
-    r = 0
-    for j, b in enumerate(space.basis):
-        if (sol[0] >> j) & 1:
-            r ^= b
-    return x ^ r
 
 
 def random_invertible(n: int, rng) -> Gf2Matrix:

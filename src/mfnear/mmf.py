@@ -9,9 +9,11 @@ H: L -> Z2^(dim L) subject to one affinity condition.  This module builds
 the functions, enumerates the (L, H) witnesses, realizes the neighbors,
 decides membership in the per-subspace classes MF_U, and counts
 |M(g)|, the linear n-dim U with f affine on every coset.
-One batched point formula for U (_triple_points: the points of S maps H on
-one L at once) is behind compose_subspace, the witness subspace,
-realize_near and near_tables; only witness() re-checks a caller's H.
+One batched point formula for U (_triple_points: the points (x, y) with
+y in L and W.x = H(y), W the direction of pi(L), for S maps H on one L at
+once) is behind compose_subspace, the witness subspace, realize_near and
+near_tables; its docstring shows it is the paper's (L, R, H) form.  Only
+witness() re-checks a caller's H.
 near_tables realizes every neighbour of f as one packed row, straight from
 the per-L solution coefficients, with no witness or TruthTable per row.
 One flatness test (_image_direction) decides whether pi(L) is a flat, and
@@ -41,12 +43,9 @@ from .gf2 import (
     Gf2Matrix,
     LinearSubspace,
     affine_hull_or_none,
-    coset_rep_on,
     coset_representatives,
     dot,
-    embed_bits,
     enumerate_subspaces,
-    information_set,
     orthogonal,
     project_bits,
     rref_rows,
@@ -208,8 +207,9 @@ class SubspaceTriple:
     """Decomposition of an n-dimensional subspace of Z2^2n.
 
     The subspace is { (embed_bits(H(y), I) xor z, y) : y in L, z in R }
-    with I = information_set(orthogonal(R)), a tuple of 1-based pivot
-    columns.  H is None exactly when dim L = 0.
+    with I the pivots of orthogonal(R), as in the paper; it is built as the
+    points (x, y) with y in L and W.x = H(y), W = orthogonal(R) (see
+    _triple_points).  H is None exactly when dim L = 0.
     """
 
     L: AffineSubspace
@@ -237,35 +237,47 @@ def _anchor_values(L: AffineSubspace, H: Optional[AffineMap]) -> np.ndarray:
     return np.array([[H.evaluate(b)] + [H.evaluate(b ^ v) for v in L.direction.basis]], dtype=np.int64)
 
 
-def _triple_points(L: AffineSubspace, R: LinearSubspace, anchors: np.ndarray, I: tuple[int, ...]) -> np.ndarray:
-    """The 2^n points (embed_bits(H(y), I) xor z, y), y in L and z in R, of Z2^2n
-    for S maps H at once.  Row s of the (S, k + 1) `anchors` holds map s's
-    values at L's anchor points, and row s of the (S, 2^n) result is its
-    subspace: the base point spanned by L's rows with H's differences, then
-    by R's rows."""
-    n = L.ambient
-    emb = np.array([embed_bits(h, I) for h in range(1 << len(I))])[anchors]
-    steps = np.array(L.direction.basis, dtype=np.int64) << n | emb[:, 1:] ^ emb[:, :1]
-    pts = (L.base << n) | emb[:, :1]
-    for i in range(len(I)):
-        pts = np.concatenate((pts, pts ^ steps[:, i, None]), axis=1)
-    return (pts[:, None, :] ^ np.array(R.points())[:, None]).reshape(len(anchors), 1 << n)
+@lru_cache(maxsize=1024)
+def _codes(W: LinearSubspace) -> np.ndarray:
+    """W.x for every x in Z2^n, cached per W: bit j is <x, w_j> for W's j-th
+    rref row.  Built by doubling over x's coordinates; callers only read it."""
+    code = [0]
+    for i in range(W.ambient):
+        column = sum((w >> i & 1) << j for j, w in enumerate(W.basis))
+        code += [c ^ column for c in code]
+    return np.array(code)
 
 
-def compose_subspace(t: SubspaceTriple, info_set: Optional[tuple[int, ...]] = None) -> AffineSubspace:
-    """Build the n-dimensional subspace of Z2^2n named by the triple.
+def _triple_points(L: AffineSubspace, W: LinearSubspace, anchors: np.ndarray) -> np.ndarray:
+    """The 2^n points (x, y) of Z2^2n with y in L and W.x = H(y), for S maps
+    H at once.  Row s of the (S, k + 1) `anchors` holds map s's values at L's
+    anchor points, and row s of the (S, 2^n) result is its subspace's points,
+    in no set order.
 
-    `info_set` defaults to information_set(orthogonal(t.R)); a caller that
-    already has it (one per L) passes it in.  It must be strictly increasing
-    within 1..n, with dim L columns.
+    This is the paper's { (embed_bits(H(y), I) xor z, y) : y in L, z in R }
+    with R = orthogonal(W) and I = W's pivots: the rref row w_j is 1 at
+    pivot I_j and 0 at the other pivots, so <embed_bits(h, I), w_j> = h_j,
+    and R is orthogonal to W, so W.x = h exactly on embed_bits(h, I) + R.
+    The x are grouped by code into 2^k fibres of 2^(n-k) points, and H's
+    values on L come from the anchors by doubling.
     """
-    I = info_set if info_set is not None else information_set(orthogonal(t.R))
-    if len(I) != t.L.dim:
-        raise ValueError("information set size must equal dim L")
-    if not all(0 < a < b for a, b in zip(I, I[1:] + (t.L.ambient + 1,))):
-        raise ValueError("information set must be strictly increasing within 1..n")
-    pts = _triple_points(t.L, t.R, _anchor_values(t.L, t.H), I)[0]
-    return affine_hull_or_none(pts.tolist(), 2 * t.L.ambient)
+    n, k = L.ambient, L.dim
+    fibres = np.argsort(_codes(W), kind="stable").reshape(1 << k, 1 << (n - k))
+    h = anchors[:, :1]
+    for i in range(k):
+        h = np.concatenate((h, h ^ anchors[:, i + 1, None] ^ anchors[:, :1]), axis=1)
+    ys = np.array(L.points(), dtype=np.int64)[:, None] << n
+    return (ys | fibres[h]).reshape(len(anchors), 1 << n)
+
+
+def _subspace(L: AffineSubspace, W: LinearSubspace, H: Optional[AffineMap]) -> AffineSubspace:
+    """The n-dimensional subspace of Z2^2n of one (L, H) with image direction W."""
+    return affine_hull_or_none(_triple_points(L, W, _anchor_values(L, H))[0].tolist(), 2 * L.ambient)
+
+
+def compose_subspace(t: SubspaceTriple) -> AffineSubspace:
+    """Build the n-dimensional subspace of Z2^2n named by the triple."""
+    return _subspace(t.L, orthogonal(t.R), t.H)
 
 
 def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
@@ -292,14 +304,14 @@ def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
     if k == 0:
         return SubspaceTriple(L, R, None)
 
-    I = information_set(orthogonal(R))
+    # H(y) is W.x for any point (x, y) of U over y
+    codes = _codes(orthogonal(R))
     fiber: dict[int, int] = {}
     for pt in U.points():
         fiber.setdefault(pt >> n, pt & low_mask)
     b = L.base
     anchors = [b] + [b ^ v for v in L.direction.basis]
-    values = {y: project_bits(coset_rep_on(fiber[y], R, I), I) for y in anchors}
-    H = AffineMap.from_values(L, values, k)
+    H = AffineMap.from_values(L, {y: int(codes[fiber[y]]) for y in anchors}, k)
     return SubspaceTriple(L, R, H)
 
 
@@ -310,14 +322,12 @@ class HSolutionSpace:
     Solutions live in the k(k+1)-bit space of values at the anchor points
     (base, base xor basis rows); `particular` and `kernel` are coefficient
     vectors there.  Empty solution set has particular None.  `image` is the
-    direction of the pi-image of the domain and `info_set` its information
-    set, a tuple of 1-based pivot columns.
+    direction of the pi-image of the domain.
     """
 
     domain: AffineSubspace
     width: int
     image: LinearSubspace
-    info_set: tuple[int, ...]
     particular: Optional[int]
     kernel: tuple[int, ...]
 
@@ -402,44 +412,46 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     image = _image_direction(g.pi, L)
     if image is None:
         raise ValueError("pi image of L is not an affine subspace")
-    I = information_set(image)
     if k == 0:
-        return HSolutionSpace(L, 0, image, I, 0, ())
-    rows, rhs = _flat_equations(g, L.base, L.direction.points(), I)
+        return HSolutionSpace(L, 0, image, 0, ())
+    rows, rhs = _flat_equations(g, L.base, L.direction.points(), image.pivots)
     sol = solve_linear(rows, rhs, k * (k + 1))
     if sol is None:
-        return HSolutionSpace(L, k, image, I, None, ())
+        return HSolutionSpace(L, k, image, None, ())
     particular, kernel = sol
-    return HSolutionSpace(L, k, image, I, particular, tuple(kernel))
+    return HSolutionSpace(L, k, image, particular, tuple(kernel))
 
 
 @dataclass(frozen=True)
 class NearBentWitness:
     """One (L, H) pair naming a closest bent function to f_(pi, phi).
 
-    R is the orthogonal of the pi-image direction of L and info_set its
-    information set (a tuple of 1-based pivot columns); both depend on L
-    only and are stored at creation, so realizations stay reproducible.
-    The subspace U of Z2^2n is derived from (L, H, info_set, R) on demand.
+    `image` is the direction W of the pi-image of L, stored at creation.
+    The subspace U of Z2^2n, the points (x, y) with y in L and W.x = H(y)
+    (see _triple_points), is derived from (L, H, image) on demand.
     """
 
     L: AffineSubspace
     H: Optional[AffineMap]
-    info_set: tuple[int, ...]
-    R: LinearSubspace
+    image: LinearSubspace
+
+    @property
+    def info_set(self) -> tuple[int, ...]:
+        """The information set of the image: its 1-based pivot columns."""
+        return self.image.pivots
 
     @property
     def subspace(self) -> AffineSubspace:
-        return compose_subspace(SubspaceTriple(self.L, self.R, self.H), info_set=self.info_set)
+        return _subspace(self.L, self.image, self.H)
 
 
 def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBentWitness:
-    """Package a caller's (L, H) pair with its information set and R; raises
+    """Package a caller's (L, H) pair with the image direction of L; raises
     ValueError unless f is affine on the subspace (a closest bent neighbor)."""
     image = _image_direction(g.pi, L)
     if image is None:
         raise ValueError("pi image of L is not an affine subspace")
-    w = NearBentWitness(L, H, information_set(image), orthogonal(image))
+    w = NearBentWitness(L, H, image)
     if is_affine_on(build_mmf(g), w.subspace) is None:
         raise ValueError("witness subspace is not an affinity subspace of f")
     return w
@@ -474,14 +486,13 @@ def _solved_flats(g: MMFunction) -> list[HSolutionSpace]:
 def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
     """All closest-bent witnesses (L, H), in canonical order.
 
-    The pi-image of L, R and the information set come from the solver once
-    per L and are shared by every H of that L.  Raises ValueError past
-    _EXPANSION_BUDGET (see _solved_flats), before building any witness.
+    The pi-image direction of L comes from the solver once per L and is
+    shared by every H of that L.  Raises ValueError past _EXPANSION_BUDGET
+    (see _solved_flats), before building any witness.
     """
     out: list[NearBentWitness] = []
     for space in _solved_flats(g):
-        R = orthogonal(space.image)
-        out += [NearBentWitness(space.domain, H, space.info_set, R) for H in space.maps()]
+        out += [NearBentWitness(space.domain, H, space.image) for H in space.maps()]
     return out
 
 
@@ -506,7 +517,7 @@ def near_count(g: MMFunction) -> int:
 def realize_near(g: MMFunction, w: NearBentWitness) -> TruthTable:
     """The bent function f xor 1_U named by a witness of g from near_enumerate
     or witness(); it is not re-checked here."""
-    pts = _triple_points(w.L, w.R, _anchor_values(w.L, w.H), w.info_set)[0]
+    pts = _triple_points(w.L, w.image, _anchor_values(w.L, w.H))[0]
     return build_mmf(g) ^ TruthTable(2 * w.L.ambient, sum(1 << p for p in pts.tolist()))
 
 
@@ -525,7 +536,7 @@ def near_tables(g: MMFunction) -> np.ndarray:
     for space in _solved_flats(g):
         k = space.width
         anchors = ((space.coefficients()[:, None] >> (np.arange(k + 1) * k)) & ((1 << k) - 1)).astype(np.int64)
-        points.append(_triple_points(space.domain, orthogonal(space.image), anchors, space.info_set))
+        points.append(_triple_points(space.domain, space.image, anchors))
     pts = np.concatenate(points)
     values = np.repeat(build_mmf(g).to_u8()[None, :], len(pts), axis=0)
     values[np.arange(len(pts))[:, None], pts] ^= 1

@@ -175,9 +175,17 @@ def _row_set(packed: np.ndarray) -> set[bytes]:
     return {row.tobytes() for row in packed}
 
 
+def _at_least_one(name: str, count: int) -> None:
+    """Raise ValueError for a count below 1: a verifier that checked nothing
+    must not report a pass."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def verify_near_equality(trials: int, seed: int) -> VerificationOutcome:
     """The criterion's realized neighbours equal the brute scan's, as sets,
     on seeded random MF functions at 2n = 6."""
+    _at_least_one("trials", trials)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     results = []
@@ -380,6 +388,7 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
     membership checks and compared bitwise with the formula-produced
     (phi', H') parents.
     """
+    _at_least_one("trials", trials)
     t0 = time.perf_counter()
     work = {"trials": 0}
     failure = _coincidence_failure(random.Random(seed), trials, n, work)
@@ -683,6 +692,7 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
 def verify_two_coset_lower(two_n: int = 8, trials: int = 10, seed: int = 1) -> VerificationOutcome:
     """Constructed double-series functions have at least 2^(2n+2) - 2^(n+3)
     closest bent functions, by full brute scan."""
+    _at_least_one("trials", trials)
     t0 = time.perf_counter()
     if two_n != 8:
         raise ValueError("the bound is exercised at 2n = 8")
@@ -743,6 +753,7 @@ def verify_beta(two_n: int, seed: int = 1, subspace_samples: int = 20) -> Verifi
     must sum to 5376; at 2n = 6 sampled subspaces are counted by a staged
     full sweep over all 10321920 (pi, phi) pairs.
     """
+    _at_least_one("subspace_samples", subspace_samples)
     t0 = time.perf_counter()
     if two_n == 4:
         n = 2

@@ -1,9 +1,11 @@
 """Reference definitions the tests check the package against.
 
 The package computes Walsh spectra and neighbours in batched form
-(walsh_rows, the packed rows of mmf.near_tables and oracle.near_brute);
-the one-function definitions here are what those are checked against.
-Nothing in the package or the benchmark calls them.
+(walsh_rows, the packed rows of mmf.near_tables and oracle.near_brute),
+and the subspace U of an (L, H) pair as the points with W.x = H(y); the
+one-function definitions and the paper's embed_bits form of U here are
+what those are checked against.  Nothing in the package or the benchmark
+calls them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ def xor_indicator(f: TruthTable, U: AffineSubspace) -> TruthTable:
     for p in U.points():
         bits ^= 1 << p
     return TruthTable(f.m, bits)
+
+
+def embed_bits(y: int, indices: tuple[int, ...]) -> int:
+    """Place y's bits at the 1-based positions `indices`, zero elsewhere: the
+    paper's embedding behind U = { (embed_bits(H(y), I) xor z, y) }."""
+    x = 0
+    for j, i in enumerate(indices):
+        x |= ((y >> j) & 1) << (i - 1)
+    return x
 
 
 def row_tables(packed: np.ndarray, m: int) -> set[TruthTable]:

@@ -258,3 +258,12 @@ def test_out_dir_env(tmp_path, monkeypatch, capsys):
     assert rc == 0
     content = (tmp_path / "t3.csv").read_text()
     assert "1 + 2^-10.349626" in content
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_usage_error(tmp_path, capsys, where):
+    # a missing directory, then a directory itself: bad input, not a fault
+    target = str(tmp_path / where)
+    rc = cli.main(["table", "3", "--out", target])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"cannot write --out {target}" in err and "internal error" not in err

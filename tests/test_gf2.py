@@ -12,8 +12,6 @@ from mfnear.gf2 import (
     Gf2Matrix,
     LinearSubspace,
     affine_hull_or_none,
-    coset_rep_on,
-    embed_bits,
     enumerate_subspaces,
     gaussian_binomial,
     information_set,
@@ -155,22 +153,10 @@ def test_orthogonal_involution(case):
     assert orthogonal(L).dim == n - L.dim
 
 
-def test_project_embed_round_trip():
-    rng = random.Random(1)
-    for _ in range(50):
-        I = tuple(sorted(rng.sample(range(1, 9), 3)))
-        for y in range(8):
-            assert project_bits(embed_bits(y, I), I) == y
-
-
 def test_project_example():
     x = 0b01101  # (1, 0, 1, 1, 0)
     assert project_bits(x, (2, 5)) == 0
     assert project_bits(x, (1, 3, 4)) == 0b111
-
-
-def test_embed_example():
-    assert embed_bits(0b11, (1, 4)) == 0b1001
 
 
 def test_enumerate_counts_match_closed_forms():
@@ -273,30 +259,6 @@ def test_solve_linear_round_trip():
         assert len(kernel) == width - rank
 
 
-def test_coset_rep_on():
-    rng = random.Random(11)
-    for _ in range(100):
-        n = rng.randrange(2, 9)
-        k = rng.randrange(1, n + 1)
-        bases = linear_subspace_bases(n, k)
-        space = LinearSubspace(bases[rng.randrange(len(bases))], n)
-        I = information_set(orthogonal(space))
-        x = rng.getrandbits(n)
-        rep = coset_rep_on(x, space, I)
-        assert space.contains(rep ^ x)
-        comp = tuple(i for i in range(1, n + 1) if i not in I)
-        assert project_bits(rep, comp) == 0
-
-
-def test_coset_rep_on_raises_off_information_set():
-    # complement of I = (2,) is not an information set of <0b01>: x + space
-    # has either no element supported on I (x = 0b10) or two of them
-    space = LinearSubspace.from_vectors([0b01], 2)
-    for x in range(4):
-        with pytest.raises(ValueError):
-            coset_rep_on(x, space, (1,))
-
-
 def test_matrix_inverse():
     rng = random.Random(13)
     for _ in range(50):
@@ -368,15 +330,3 @@ def test_inverse_raises_on_singular(n, seed):
     rows.insert(rng.randrange(n), dependent)
     with pytest.raises(ValueError):
         Gf2Matrix(tuple(rows), n).inverse()
-
-
-@settings(max_examples=300, deadline=None)
-@given(vectors_in(), st.integers(0, (1 << 10) - 1))
-def test_coset_rep_on_lies_in_coset_and_on_info_set(case, x):
-    vecs, n = case
-    x &= (1 << n) - 1
-    space = LinearSubspace.from_vectors(vecs, n)
-    I = information_set(orthogonal(space))
-    rep = coset_rep_on(x, space, I)
-    assert space.contains(rep ^ x)
-    assert all(not (rep >> (c - 1)) & 1 for c in range(1, n + 1) if c not in I)

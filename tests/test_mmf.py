@@ -16,7 +16,6 @@ from mfnear.gf2 import (
     LinearSubspace,
     affine_hull_or_none,
     dot,
-    embed_bits,
     enumerate_subspaces,
     gaussian_binomial,
     linear_subspace_bases,
@@ -45,7 +44,7 @@ from mfnear.mmf import (
 )
 from mfnear.mmf import _anchor_values, _image_direction, _triple_points
 from mfnear import oracle
-from reference import hamming_distance, row_tables, xor_indicator
+from reference import embed_bits, hamming_distance, row_tables, xor_indicator
 
 
 def x_side(n):
@@ -128,18 +127,6 @@ def test_compose_decompose_x_side():
     assert compose_subspace(t) == U
 
 
-def test_compose_rejects_a_bad_info_set():
-    # n = 3, dim L = 2, R = span{e_2}: orthogonal(R) has information set (1, 3),
-    # and H constant 3 puts U's base at embed_bits(3, (1, 3)) = 5
-    L = AffineSubspace(0, LinearSubspace((1, 2), 3))
-    t = SubspaceTriple(L, LinearSubspace((2,), 3), AffineMap.from_values(L, {0: 3, 1: 3, 2: 3}, 2))
-    assert compose_subspace(t).base == 5
-    assert compose_subspace(t, info_set=(1, 3)) == compose_subspace(t)
-    for bad in ((1, 1), (1, 4), (3, 1), (0, 1)):
-        with pytest.raises(ValueError):
-            compose_subspace(t, info_set=bad)
-
-
 def test_compose_decompose_round_trip_all_s42():
     for U in enumerate_subspaces(4, 2):
         Ua = AffineSubspace(0, U)
@@ -167,6 +154,10 @@ def test_decompose_inverts_compose(t):
     U = compose_subspace(t)
     assert U.dim == t.L.ambient and U.ambient == 2 * t.L.ambient
     assert decompose_subspace(U) == t
+    # the paper's literal form: (embed_bits(H(y), I) xor z, y), I the pivots of orthogonal(R)
+    n, I = t.L.ambient, orthogonal(t.R).pivots
+    h = t.H.evaluate if t.H is not None else (lambda y: 0)
+    assert set(U.points()) == {(y << n) | (embed_bits(h(y), I) ^ z) for y in t.L.points() for z in t.R.points()}
 
 
 @st.composite
@@ -623,17 +614,15 @@ def test_triple_points_batched_equal_the_definition():
         for k in range(n + 1):
             for L in image_subspaces(g.pi, k)[:6]:
                 space = h_solution_space(g, L)
-                R = orthogonal(space.image)
+                R, I = orthogonal(space.image), space.image.pivots
                 maps = space.maps()
                 anchors = np.array([_anchor_values(L, H)[0] for H in maps], dtype=np.int64).reshape(-1, k + 1)
-                batched = _triple_points(L, R, anchors, space.info_set)
+                batched = _triple_points(L, space.image, anchors)
                 assert batched.shape == (len(maps), 1 << n)
                 for H, row in zip(maps, batched):
                     h = H.evaluate if H is not None else (lambda y: 0)
-                    expected = [
-                        (y << n) | (embed_bits(h(y), space.info_set) ^ z) for z in R.points() for y in L.points()
-                    ]
-                    assert row.tolist() == expected
+                    expected = [(y << n) | (embed_bits(h(y), I) ^ z) for z in R.points() for y in L.points()]
+                    assert sorted(row.tolist()) == sorted(expected)
 
 
 def coefficient_maps(space):
@@ -669,5 +658,5 @@ def test_coefficients_beyond_63_bits_stay_exact():
     # k = 8 has k(k+1) = 72 coefficient bits, more than an int64 holds
     full = LinearSubspace.full(8)
     p, k1, k2 = (1 << 71) | 5, 1 << 64, (1 << 70) | 3
-    space = HSolutionSpace(AffineSubspace(0, full), 8, full, full.pivots, p, (k1, k2))
+    space = HSolutionSpace(AffineSubspace(0, full), 8, full, p, (k1, k2))
     assert space.coefficients().tolist() == [p, p ^ k1, p ^ k2, p ^ k1 ^ k2]

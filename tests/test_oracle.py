@@ -209,6 +209,17 @@ def test_verify_two_coset_lower():
     assert out.work["least_count"] >= 896
 
 
+@pytest.mark.parametrize("call", [
+    lambda: oracle.verify_near_equality(0, 1),
+    lambda: oracle.verify_coincidence(trials=0),
+    lambda: oracle.verify_two_coset_lower(8, trials=0),
+    lambda: oracle.verify_beta(6, subspace_samples=0),
+], ids=["near-equality", "coincidence", "two-coset-lower", "beta"])
+def test_verifier_that_would_check_nothing_raises(call):
+    with pytest.raises(ValueError, match="at least 1"):
+        call()
+
+
 def test_verify_beta_4():
     out = oracle.verify_beta(4)
     assert out.passed, out.witness
