@@ -16,7 +16,6 @@ from .gf2 import (
     affine_hull_or_none,
     enumerate_subspaces,
     gaussian_binomial,
-    information_set,
     orthogonal,
 )
 from .kernels import BACKEND
@@ -25,16 +24,13 @@ from .mmf import (
     MMFunction,
     NearBentWitness,
     Permutation,
-    SubspaceTriple,
     build_mmf,
     coincidence_parents,
     compose_subspace,
     decode_mm,
-    decompose_subspace,
     h_solution_space,
     image_subspaces,
     m_count,
-    member_of_mf_u,
     near_count,
     near_enumerate,
     near_tables,

@@ -4,8 +4,9 @@ Vectors x = (x_1, ..., x_n) are plain ints with x_1 in the least
 significant bit, so int(x) = sum x_i * 2^(i-1).  Gf2Matrix is the one
 matrix type: a tuple of row ints sharing a common width.  Subspaces carry a
 reduced-row-echelon basis, which makes every subspace representation
-canonical and hashable.  An information set is a tuple of 1-based pivot
-columns, increasing.  Every Gaussian elimination goes through rref_rows.
+canonical and hashable.  The information set of a subspace is
+LinearSubspace.pivots: the 1-based pivot columns of its rref basis,
+increasing.  Every Gaussian elimination goes through rref_rows.
 """
 
 from __future__ import annotations
@@ -268,12 +269,6 @@ def gaussian_binomial(n: int, k: int) -> int:
         num *= (1 << n) - (1 << i)
         den *= (1 << k) - (1 << i)
     return num // den
-
-
-def information_set(U: AffineSubspace | LinearSubspace) -> tuple[int, ...]:
-    """Deterministic information set: pivot columns of the direction rref."""
-    direction = U.direction if isinstance(U, AffineSubspace) else U
-    return direction.pivots
 
 
 def orthogonal(L: LinearSubspace) -> LinearSubspace:

@@ -7,22 +7,22 @@ f is affine, and those U are parametrized by pairs (L, H): an affine
 subspace L of Z2^n whose pi-image is again a subspace, plus an affine map
 H: L -> Z2^(dim L) subject to one affinity condition.  This module builds
 the functions, enumerates the (L, H) witnesses, realizes the neighbors,
-decides membership in the per-subspace classes MF_U, and counts
-|M(g)|, the linear n-dim U with f affine on every coset.
-One batched point formula for U (_triple_points: the points (x, y) with
-y in L and W.x = H(y), W the direction of pi(L), for S maps H on one L at
-once) is behind compose_subspace, the witness subspace, realize_near and
-near_tables; its docstring shows it is the paper's (L, R, H) form.  Only
-witness() re-checks a caller's H.
+and counts |M(g)|, the linear n-dim U with f affine on every coset.
+Every U is described by (L, W, H): the points (x, y) with y in L and
+W.x = H(y), W the direction of pi(L).  One batched point formula
+(_triple_points, for S maps H on one L at once) is behind
+compose_subspace, the witness subspace, realize_near and near_tables; its
+docstring shows it is the paper's (L, R, H) form with R = orthogonal(W).
+Only witness() re-checks a caller's H.
 near_tables realizes every neighbour of f as one packed row, straight from
 the per-L solution coefficients, with no witness or TruthTable per row.
 One flatness test (_image_direction) decides whether pi(L) is a flat, and
 one per-flat builder (_flat_equations) gives the GF(2) system that makes
 t -> <H(t), pi_I(t)> xor phi(t) affine on a flat.  h_solution_space solves
 it on one L for near(f); _series_equations stacks it over every coset of
-a linear L for member_of_mf_u and m_count: a linear U = (L, R, H) is in
-M(g) iff pi is affine on every coset of L with image direction
-orthogonal(R) and H solves the stacked system in k^2 unknowns.
+a linear L for m_count: a linear U = (L, W, H) is in M(g) iff pi is
+affine on every coset of L with image direction W and H solves the
+stacked system in k^2 unknowns.
 Nothing here uses the brute-force subspace scan; the oracle module checks
 this criterion against it.
 """
@@ -46,7 +46,6 @@ from .gf2 import (
     coset_representatives,
     dot,
     enumerate_subspaces,
-    orthogonal,
     project_bits,
     rref_rows,
     solve_linear,
@@ -202,32 +201,6 @@ def image_subspaces(pi: Permutation, k: int) -> list[AffineSubspace]:
     return [U for U in flats if _image_direction(pi, U) is not None]
 
 
-@dataclass(frozen=True)
-class SubspaceTriple:
-    """Decomposition of an n-dimensional subspace of Z2^2n.
-
-    The subspace is { (embed_bits(H(y), I) xor z, y) : y in L, z in R }
-    with I the pivots of orthogonal(R), as in the paper; it is built as the
-    points (x, y) with y in L and W.x = H(y), W = orthogonal(R) (see
-    _triple_points).  H is None exactly when dim L = 0.
-    """
-
-    L: AffineSubspace
-    R: LinearSubspace
-    H: Optional[AffineMap]
-
-    def __post_init__(self) -> None:
-        n = self.L.ambient
-        if self.R.ambient != n:
-            raise ValueError("L and R must share the ambient space")
-        if self.L.dim + self.R.dim != n:
-            raise ValueError("dim L + dim R must equal n")
-        if (self.H is None) != (self.L.dim == 0):
-            raise ValueError("H must be present exactly when dim L > 0")
-        if self.H is not None and self.H.codomain_width != self.L.dim:
-            raise ValueError("H must map into Z2^(dim L)")
-
-
 def _anchor_values(L: AffineSubspace, H: Optional[AffineMap]) -> np.ndarray:
     """H's values at L's anchor points (the base, then the base xor each
     basis row) as one (1, dim L + 1) row; [[0]] when H is None."""
@@ -270,49 +243,14 @@ def _triple_points(L: AffineSubspace, W: LinearSubspace, anchors: np.ndarray) ->
     return (ys | fibres[h]).reshape(len(anchors), 1 << n)
 
 
-def _subspace(L: AffineSubspace, W: LinearSubspace, H: Optional[AffineMap]) -> AffineSubspace:
-    """The n-dimensional subspace of Z2^2n of one (L, H) with image direction W."""
+def compose_subspace(L: AffineSubspace, W: LinearSubspace, H: Optional[AffineMap]) -> AffineSubspace:
+    """The n-dimensional subspace of Z2^2n of the points (x, y) with y in L
+    and W.x = H(y), for dim W = dim L; H is None exactly when dim L = 0.
+
+    The paper writes it as the triple (L, R, H) with R = orthogonal(W); the
+    proof that both name the same points is in _triple_points.
+    """
     return affine_hull_or_none(_triple_points(L, W, _anchor_values(L, H))[0].tolist(), 2 * L.ambient)
-
-
-def compose_subspace(t: SubspaceTriple) -> AffineSubspace:
-    """Build the n-dimensional subspace of Z2^2n named by the triple."""
-    return _subspace(t.L, orthogonal(t.R), t.H)
-
-
-def decompose_subspace(U: AffineSubspace) -> SubspaceTriple:
-    """Invert compose_subspace; unique for every n-dimensional subspace."""
-    if U.ambient % 2:
-        raise ValueError("ambient dimension must be even")
-    n = U.ambient // 2
-    if U.dim != n:
-        raise ValueError("subspace dimension must be n")
-    low_mask = (1 << n) - 1
-
-    # With the y-bits rotated low, rref puts the rows with a y-part first:
-    # their y-parts are an rref basis of L's direction, and the rows without
-    # one are an rref basis of R = direction(U) intersected with the x-side.
-    rows, _ = rref_rows(((v >> n) | ((v & low_mask) << n) for v in U.direction.basis), 2 * n)
-    R = LinearSubspace._from_rref(tuple(r >> n for r in rows if not r & low_mask), n)
-    L = AffineSubspace.coset(
-        U.base >> n,
-        LinearSubspace._from_rref(tuple(r & low_mask for r in rows if r & low_mask), n),
-    )
-    k = L.dim
-    if k + R.dim != n:
-        raise AssertionError("inconsistent split")
-    if k == 0:
-        return SubspaceTriple(L, R, None)
-
-    # H(y) is W.x for any point (x, y) of U over y
-    codes = _codes(orthogonal(R))
-    fiber: dict[int, int] = {}
-    for pt in U.points():
-        fiber.setdefault(pt >> n, pt & low_mask)
-    b = L.base
-    anchors = [b] + [b ^ v for v in L.direction.basis]
-    H = AffineMap.from_values(L, {y: int(codes[fiber[y]]) for y in anchors}, k)
-    return SubspaceTriple(L, R, H)
 
 
 @dataclass(frozen=True)
@@ -442,7 +380,7 @@ class NearBentWitness:
 
     @property
     def subspace(self) -> AffineSubspace:
-        return _subspace(self.L, self.image, self.H)
+        return compose_subspace(self.L, self.image, self.H)
 
 
 def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBentWitness:
@@ -600,7 +538,7 @@ def _series_equations(
     None unless pi is affine on every coset a + L with one image direction
     W.  Otherwise (W, rows, rhs): a linear H: L -> Z2^k, coded with
     h_i = H(basis[i]) in bits ik..ik+k-1, makes f affine on every coset of
-    U = (L, orthogonal(W), H) iff <H, row> = rhs for every row.  On the
+    U = (L, W, H) iff <H, row> = rhs for every row.  On the
     coset a + L, H acts as t -> H(t), which is 0 at the anchor a and h_i at
     a ^ basis[i]; so the rows are every coset's _flat_equations with the
     anchor's k bits dropped.
@@ -636,33 +574,10 @@ def _series_equations(
     return W, rows, rhs
 
 
-def member_of_mf_u(g: MMFunction, U: AffineSubspace) -> bool:
-    """Whether f_(pi, phi) is affine on every coset of the linear U.
-
-    Decided by the coset-series criterion: U = (L, R, H) qualifies iff
-    _series_equations of L has image direction orthogonal(R) and H solves
-    its system.
-    """
-    n = g.n
-    if U.ambient != 2 * n or not U.is_linear() or U.dim != n:
-        raise ValueError("U must be a linear n-dimensional subspace of Z2^2n")
-    t = decompose_subspace(U)
-    basis = t.L.direction.basis
-    if not basis:
-        # U is the x-side itself: every MF function qualifies
-        return True
-    eq = _series_equations(g, basis)
-    if eq is None or eq[0] != orthogonal(t.R):
-        return False
-    k = len(basis)
-    h = sum(t.H.evaluate(b) << (i * k) for i, b in enumerate(basis))
-    return all(dot(h, row) == r for row, r in zip(eq[1], eq[2]))
-
-
 def m_count(g: MMFunction) -> int:
     """|M(g)|: the linear n-dim U with f_(pi, phi) affine on every coset of U.
 
-    Each U is (L, R, H) with L linear.  The x-side (dim L = 0) counts 1; every
+    Each U is (L, W, H) with L linear.  The x-side (dim L = 0) counts 1; every
     other L counts its number of linear H solving _series_equations.  Pi is
     affine on the cosets of L only if D_u D_v pi = 0 for all u, v in L, so
     every basis of a candidate L is a clique of the graph u ~ v iff

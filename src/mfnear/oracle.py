@@ -42,7 +42,6 @@ from .gf2 import (
     coset_representatives,
     dot,
     enumerate_subspaces,
-    information_set,
     linear_subspace_bases,
     orthogonal,
     project_bits,
@@ -52,7 +51,6 @@ from .kernels import affine_lut, scan_arrays
 from .mmf import (
     MMFunction,
     Permutation,
-    SubspaceTriple,
     _ip_blocks,
     build_mmf,
     coincidence_parents,
@@ -561,6 +559,7 @@ def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1
             z=0.0,
             exact_mean=mean,
         )
+    _at_least_one("trials", trials)
     if two_n not in (4, 6, 8):
         raise ValueError("sampled census supports 2n in {4, 6, 8}")
     rng = random.Random(seed)
@@ -596,6 +595,7 @@ def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1
 
 def sample_near_average(two_n: int, trials: int = 1000, seed: int = 1) -> SampleEstimate:
     """Seeded mean of |near(f)| against the exact expectation formula."""
+    _at_least_one("trials", trials)
     if two_n not in (8, 10):
         raise ValueError("sampling supported at 2n in {8, 10}")
     n = two_n // 2
@@ -634,9 +634,11 @@ def _random_linear_subspace(n: int, k: int, rng) -> LinearSubspace:
 def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
     """Build f in MF_2n affine on the cosets of a second linear subspace.
 
-    Picks U = (L, R, H) with dim R < n, makes pi map cosets of L affinely
-    onto cosets of the orthogonal of R, and chooses phi so the composite
-    condition is affine on every coset.
+    Picks a linear L of dim n - k, 0 < k < n, a direction W = orthogonal(R)
+    for a random k-dim R, and a linear H: L -> Z2^(n-k), so U =
+    compose_subspace(L, W, H); then makes pi map cosets of L affinely onto
+    cosets of W, and chooses phi so the composite condition is affine on
+    every coset.
     """
     k = rng.randrange(1, n)  # dim R
     R = _random_linear_subspace(n, k, rng)
@@ -647,10 +649,9 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
         h_vals[v] = rng.getrandbits(width)
     L_aff = AffineSubspace(0, L)
     H = AffineMap.from_values(L_aff, h_vals, width)
-    U = compose_subspace(SubspaceTriple(L_aff, R, H))
-
     r_orth = orthogonal(R)
-    I = information_set(r_orth)
+    U = compose_subspace(L_aff, r_orth, H)
+    I = r_orth.pivots
     l_reps = coset_representatives(L.basis, n)
     t_reps = coset_representatives(r_orth.basis, n)
     rng.shuffle(t_reps)

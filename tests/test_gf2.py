@@ -14,7 +14,6 @@ from mfnear.gf2 import (
     affine_hull_or_none,
     enumerate_subspaces,
     gaussian_binomial,
-    information_set,
     linear_subspace_bases,
     orthogonal,
     project_bits,
@@ -72,11 +71,11 @@ def test_rref_span_preserved():
 
 def test_information_set_examples():
     full = AffineSubspace(0, LinearSubspace.full(4))
-    assert information_set(full) == (1, 2, 3, 4)
+    assert full.direction.pivots == (1, 2, 3, 4)
     point = AffineSubspace.from_point(5, 4)
-    assert information_set(point) == ()
+    assert point.direction.pivots == ()
     d = LinearSubspace.from_vectors((0b011, 0b100), 3)  # (1, 1, 0) and (0, 0, 1)
-    I = information_set(d)
+    I = d.pivots
     assert I == (1, 3)
     # projection onto the information set covers Z2^2
     proj = {project_bits(p, I) for p in d.points()}
@@ -87,7 +86,7 @@ def test_information_set_surjective_everywhere():
     for n in range(1, 6):
         for k in range(n + 1):
             for L in enumerate_subspaces(n, k):
-                I = information_set(L)
+                I = L.pivots
                 proj = {project_bits(p, I) for p in L.points()}
                 assert proj == set(range(1 << k))
 

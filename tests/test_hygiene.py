@@ -1,8 +1,9 @@
 """Source hygiene: no unused import in the package or the tests, no
-unreferenced definition in the package, and the criterion module kept off
-the brute-force scan.
+unreferenced definition in the package, no public definition that only
+tests call unless it is listed, and the criterion module kept off the
+brute-force scan.
 
-Both checks read the source with the stdlib ast module.  A name counts as
+The checks read the source with the stdlib ast module.  A name counts as
 used when it appears as a name, an attribute, an import or an identifier
 string (bench/tracing.py names the functions it wraps by string).
 """
@@ -17,6 +18,19 @@ PACKAGE = ROOT / "src" / "mfnear"
 UNUSED_IMPORT_ALLOWED = {
     ("oracle", "is_bent"): "bench/tracing.py WRAPS patches oracle.is_bent",
     ("cli", "realize_near"): "bench/tracing.py WRAPS patches cli.realize_near",
+}
+
+# public definitions that only tests call, kept on purpose
+TEST_ONLY_API_ALLOWED = {
+    ("boolfun", "ea_transform"): "EA-invariance tests; the planned affine-class enumerator will call it",
+    ("gf2", "random_invertible"): "EA-invariance tests; the planned affine-class enumerator will call it",
+    ("counting", "sigma2_closed"): "the paper's closed form, checked against sigma(n, 2)",
+    ("counting", "sigma3_closed"): "the paper's closed form, checked against sigma(n, 3)",
+    ("counting", "near_average_decomposed"): "the paper's closed form, checked against near_average",
+    ("counting", "near_average_upper"): "the paper's upper bound, checked above near_average",
+    ("counting", "near_mf_ratio_decomposed"): "the paper's closed form, checked against near_mf_ratio",
+    ("counting", "beta_lower"): "the paper's lower bound, checked below beta",
+    ("counting", "mfc_lower_closed"): "the paper's closed lower bound, checked against mfc_bounds",
 }
 
 
@@ -76,6 +90,27 @@ def test_every_top_level_definition_is_referenced():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in refs:
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # a public name that only tests call is dead API unless it is listed
+    files = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").rglob("*.py"))
+    refs = set()
+    for path in files:
+        refs |= _references(_tree(path))
+    test_only = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _tree(path).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in refs
+            ):
+                test_only.add((path.stem, node.name))
+    allowed = TEST_ONLY_API_ALLOWED.keys()
+    assert not test_only - allowed, f"public but called only from tests: {sorted(test_only - allowed)}"
+    assert not allowed - test_only, f"allowed but no longer test-only: {sorted(allowed - test_only)}"
 
 
 def test_criterion_module_does_not_import_the_scan():

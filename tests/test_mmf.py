@@ -1,4 +1,4 @@
-"""Construction, witness enumeration, coincidence, and class membership."""
+"""Construction, witness enumeration, coincidence, and |M(g)|."""
 
 import itertools
 import random
@@ -26,16 +26,13 @@ from mfnear.mmf import (
     HSolutionSpace,
     MMFunction,
     Permutation,
-    SubspaceTriple,
     build_mmf,
     coincidence_parents,
     compose_subspace,
     decode_mm,
-    decompose_subspace,
     h_solution_space,
     image_subspaces,
     m_count,
-    member_of_mf_u,
     near_count,
     near_enumerate,
     near_tables,
@@ -120,84 +117,55 @@ def test_image_subspaces_against_hull_oracle():
             assert image_subspaces(pi, k) == expected
 
 
-def test_compose_decompose_x_side():
-    U = AffineSubspace(0, x_side(3))
-    t = decompose_subspace(U)
-    assert t.L.dim == 0 and t.R == LinearSubspace.full(3) and t.H is None
-    assert compose_subspace(t) == U
-
-
-def test_compose_decompose_round_trip_all_s42():
-    for U in enumerate_subspaces(4, 2):
-        Ua = AffineSubspace(0, U)
-        assert compose_subspace(decompose_subspace(Ua)) == Ua
-
-
 @st.composite
-def subspace_triples(draw):
-    """A random (L, R, H) with dim L + dim R = n, H given by anchor values."""
+def subspace_descriptions(draw):
+    """A random (L, W, H) with dim L = dim W, H given by anchor values."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(0, n))
     direction = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(n, k))), n)
     L = AffineSubspace.coset(draw(st.integers(0, (1 << n) - 1)), direction)
-    R = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(n, n - k))), n)
+    W = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(n, k))), n)
     H = None
     if k:
         anchors = [L.base] + [L.base ^ v for v in direction.basis]
         H = AffineMap.from_values(L, {p: draw(st.integers(0, (1 << k) - 1)) for p in anchors}, k)
-    return SubspaceTriple(L, R, H)
+    return L, W, H
 
 
 @settings(max_examples=300, deadline=None)
-@given(subspace_triples())
-def test_decompose_inverts_compose(t):
-    U = compose_subspace(t)
-    assert U.dim == t.L.ambient and U.ambient == 2 * t.L.ambient
-    assert decompose_subspace(U) == t
-    # the paper's literal form: (embed_bits(H(y), I) xor z, y), I the pivots of orthogonal(R)
-    n, I = t.L.ambient, orthogonal(t.R).pivots
-    h = t.H.evaluate if t.H is not None else (lambda y: 0)
-    assert set(U.points()) == {(y << n) | (embed_bits(h(y), I) ^ z) for y in t.L.points() for z in t.R.points()}
+@given(subspace_descriptions())
+def test_compose_subspace_is_the_paper_formula(description):
+    L, W, H = description
+    n = L.ambient
+    U = compose_subspace(L, W, H)
+    assert U.dim == n and U.ambient == 2 * n
+    # the paper's literal form: (embed_bits(H(y), I) xor z, y), I the pivots of W, z in R = orthogonal(W)
+    h = H.evaluate if H is not None else (lambda y: 0)
+    expected = {(y << n) | (embed_bits(h(y), W.pivots) ^ z) for y in L.points() for z in orthogonal(W).points()}
+    assert set(U.points()) == expected
 
 
-@st.composite
-def half_dim_subspaces(draw):
-    """A random n-dim affine subspace of Z2^2n, n <= 3."""
-    n = draw(st.integers(1, 3))
-    direction = LinearSubspace(draw(st.sampled_from(linear_subspace_bases(2 * n, n))), 2 * n)
-    return AffineSubspace.coset(draw(st.integers(0, (1 << (2 * n)) - 1)), direction)
-
-
-@settings(max_examples=300, deadline=None)
-@given(half_dim_subspaces())
-def test_decompose_r_is_direction_cap_x_side(U):
-    n = U.ambient // 2
-    x_part = {p for p in U.direction.points() if not p >> n}
-    assert set(decompose_subspace(U).R.points()) == x_part
-
-
-def test_decompose_census_matches_closed_form():
-    # number of U in S(2n, n) with dim(U cap x-side) = k
+def test_compose_subspace_is_onto_each_stratum():
+    # every linear (L, W, H) with dim L = n - k gives a U with dim(U cap x-side)
+    # = k; the 2^((n-k)^2) [n choose k]^2 of each stratum are distinct, and
+    # together they are every linear n-dim subspace of Z2^2n
     for n in (2, 3):
-        from collections import Counter
-
-        strata = Counter(
-            decompose_subspace(AffineSubspace(0, U)).R.dim
-            for U in enumerate_subspaces(2 * n, n)
-        )
+        union = set()
         for k in range(n + 1):
-            expected = (
-                (1 << ((n - k) ** 2))
-                * gaussian_binomial(n, k)
-                * gaussian_binomial(n, n - k)
-            )
-            assert strata[k] == expected
-
-
-def test_decompose_rejects_wrong_dim():
-    U = AffineSubspace(0, LinearSubspace.from_vectors([1], 4))
-    with pytest.raises(ValueError):
-        decompose_subspace(U)
+            d = n - k
+            stratum = set()
+            for l_basis in linear_subspace_bases(n, d):
+                L = AffineSubspace(0, LinearSubspace(l_basis, n))
+                for w_basis in linear_subspace_bases(n, d):
+                    W = LinearSubspace(w_basis, n)
+                    for values in itertools.product(range(1 << d), repeat=d):
+                        H = AffineMap.from_values(L, {0: 0, **dict(zip(l_basis, values))}, d) if d else None
+                        U = compose_subspace(L, W, H)
+                        assert U.is_linear() and oracle._dim_x_intersection(U.direction, n) == k
+                        stratum.add(U.direction)
+            assert len(stratum) == (1 << (d * d)) * gaussian_binomial(n, k) ** 2
+            union |= stratum
+        assert union == set(enumerate_subspaces(2 * n, n))
 
 
 def test_h_solution_dim1_always_four():
@@ -220,9 +188,9 @@ def brute_h_count(g, L):
     """Enumerate every affine H: L -> Z2^k and test the composite directly."""
     k = L.dim
     n = g.n
-    from mfnear.gf2 import information_set, project_bits
+    from mfnear.gf2 import project_bits
 
-    I = information_set(_image_direction(g.pi, L))
+    I = _image_direction(g.pi, L).pivots
     b = L.base
     basis = L.direction.basis
     good = []
@@ -442,37 +410,6 @@ def test_coincidence_rejects_wrong_dim():
         coincidence_parents(g, w)
 
 
-def test_member_x_side_always():
-    rng = random.Random(51)
-    for n in (2, 3):
-        for _ in range(5):
-            g = MMFunction.random(n, rng)
-            assert member_of_mf_u(g, AffineSubspace(0, x_side(n)))
-
-
-def test_member_agrees_with_definition_on_mf4():
-    subspaces = list(enumerate_subspaces(4, 2))
-    for g in all_mf4():
-        series = set(oracle.m_subspaces(build_mmf(g)))
-        for U in subspaces:
-            assert member_of_mf_u(g, AffineSubspace(0, U)) == (U in series)
-
-
-def test_member_agrees_with_scan_at_2n6():
-    # two-series functions have members with dim L = 1, 2; the identity has
-    # members of every dim L
-    rng = random.Random(57)
-    gs = [oracle.construct_two_series(3, rng)[0] for _ in range(2)]
-    gs.append(MMFunction(Permutation.identity(3), TruthTable(3, 0b10010110)))
-    subspaces = list(enumerate_subspaces(6, 3))
-    dims = set()
-    for g in gs:
-        members = {U for U in subspaces if member_of_mf_u(g, AffineSubspace(0, U))}
-        assert members == set(oracle.m_subspaces(build_mmf(g)))
-        dims |= {decompose_subspace(AffineSubspace(0, U)).L.dim for U in members}
-    assert dims == {0, 1, 2, 3}
-
-
 def test_m_count_equals_scan_on_mf4():
     assert all(m_count(g) == oracle._m_count(build_mmf(g)) for g in all_mf4())
 
@@ -502,15 +439,6 @@ def test_m_count_degree3_phi_equals_scan(n):
     assert m_count(g) == oracle._m_count(build_mmf(g))
 
 
-def test_member_count_for_k1_subspace():
-    for U in enumerate_subspaces(4, 2):
-        t = decompose_subspace(AffineSubspace(0, U))
-        if t.R.dim == 1:
-            members = sum(1 for g in all_mf4() if member_of_mf_u(g, AffineSubspace(0, U)))
-            assert members == 128
-            break
-
-
 def test_m_subspaces_inner_product():
     from mfnear.boolfun import TruthTable as TT
 
@@ -519,20 +447,6 @@ def test_m_subspaces_inner_product():
     assert x_side(2) in ms
     y_side = LinearSubspace.from_vectors([4, 8], 4)
     assert y_side in ms
-
-
-def test_m_subspaces_vs_member_criterion():
-    rng = random.Random(53)
-    for _ in range(10):
-        g = MMFunction.random(2, rng)
-        f = build_mmf(g)
-        ms = set(oracle.m_subspaces(f))
-        crit = {
-            U
-            for U in enumerate_subspaces(4, 2)
-            if member_of_mf_u(g, AffineSubspace(0, U))
-        }
-        assert ms == crit
 
 
 def test_near_count_ea_invariant():
@@ -554,13 +468,6 @@ def test_permutation_validation():
         Permutation((0, 0, 1, 2), 2)
     pi = Permutation((2, 0, 3, 1), 2)
     assert pi.inverse().table == (1, 3, 0, 2)
-
-
-def test_subspace_triple_validation():
-    L = AffineSubspace(0, LinearSubspace.from_vectors([1], 3))
-    R = LinearSubspace.from_vectors([2], 3)
-    with pytest.raises(ValueError):
-        SubspaceTriple(L, R, None)  # dims do not add to n
 
 
 def gf_inversion(n, poly):

@@ -214,7 +214,9 @@ def test_verify_two_coset_lower():
     lambda: oracle.verify_coincidence(trials=0),
     lambda: oracle.verify_two_coset_lower(8, trials=0),
     lambda: oracle.verify_beta(6, subspace_samples=0),
-], ids=["near-equality", "coincidence", "two-coset-lower", "beta"])
+    lambda: oracle.m_census(6, trials=0),
+    lambda: oracle.sample_near_average(8, trials=0),
+], ids=["near-equality", "coincidence", "two-coset-lower", "beta", "m-census", "near-average"])
 def test_verifier_that_would_check_nothing_raises(call):
     with pytest.raises(ValueError, match="at least 1"):
         call()
