@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -83,13 +84,14 @@ def _reports_text(reports, fmt: str) -> str:
 
 
 def _parse_two_n_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-    else:
-        lo_i = hi_i = int(spec)
+    bad = ValueError(f"--two-n {spec}: need even values in 2..24, low <= high")
+    lo, dots, hi = spec.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise bad from None
     if lo_i < 2 or hi_i > 24 or lo_i % 2 or hi_i % 2 or lo_i > hi_i:
-        raise ValueError(f"--two-n {spec}: need even values in 2..24, low <= high")
+        raise bad
     return list(range(lo_i, hi_i + 1, 2))
 
 
@@ -132,6 +134,9 @@ def _parse_function(args) -> tuple[Optional[MMFunction], TruthTable]:
 def cmd_near(args) -> int:
     if args.parents is not None and (args.brute or args.mode == "count"):
         print("--parents needs --mode list or realize, without --brute", file=sys.stderr)
+        return EXIT_USAGE
+    if args.brute and args.mode == "list":
+        print("--brute gives --mode count or realize; it finds no witnesses to list", file=sys.stderr)
         return EXIT_USAGE
     g, f = _parse_function(args)
     result: dict = {"schema": SCHEMA, "two_n": f.m}
@@ -253,7 +258,10 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use; parse_args gives a
+    fresh Namespace each call, so no state passes from one call to the next."""
     p = argparse.ArgumentParser(prog="mfnear", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -14,8 +14,9 @@ W.x = H(y), W the direction of pi(L).  One batched point formula
 compose_subspace, the witness subspace, realize_near and near_tables; its
 docstring shows it is the paper's (L, R, H) form with R = orthogonal(W).
 Only witness() re-checks a caller's H.
-near_tables realizes every neighbour of f as one packed row, straight from
-the per-L solution coefficients, with no witness or TruthTable per row.
+near_tables realizes every neighbour of f as one packed row, the dim
+L >= 2 ones straight from the per-L solution coefficients, with no witness
+or TruthTable per row.
 One flatness test (_image_direction) decides whether pi(L) is a flat, and
 one per-flat builder (_flat_equations) gives the GF(2) system that makes
 t -> <H(t), pi_I(t)> xor phi(t) affine on a flat.  h_solution_space solves
@@ -23,6 +24,13 @@ it on one L for near(f); _series_equations stacks it over every coset of
 a linear L for m_count: a linear U = (L, W, H) is in M(g) iff pi is
 affine on every coset of L with image direction W and H solves the
 stacked system in k^2 unknowns.
+The dim L <= 1 layer needs no solver, because a flat of at most two points
+gives no equation: each of the 2^n points L = {y0} has one H, and each of
+the 2^(n-1) (2^n - 1) lines L = {y0, y1} has all four, so this layer holds
+lambda = 2^n + 2^(n+1) (2^n - 1) = 2^(2n+1) - 2^n neighbours, the ones that
+stay in MF.  near_count adds it as that number and near_tables writes its
+rows directly; m_count counts a linear L = {0, u} as 2 when D_u pi is
+constant and 0 otherwise.
 Nothing here uses the brute-force subspace scan; the oracle module checks
 this criterion against it.
 """
@@ -37,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .boolfun import TruthTable, is_affine_on
+from .counting import lambda_
 from .gf2 import (
     AffineMap,
     AffineSubspace,
@@ -398,26 +407,33 @@ def witness(g: MMFunction, L: AffineSubspace, H: Optional[AffineMap]) -> NearBen
 _EXPANSION_BUDGET = 1 << 26
 
 
-def _solved_flats(g: MMFunction) -> list[HSolutionSpace]:
-    """The H solutions of every L with a flat pi-image, by dim L and then in
-    image_subspaces order, all solved before any is expanded.
+def _check_budget(count: int, n: int) -> None:
+    if count << (2 * n) > _EXPANSION_BUDGET:
+        raise ValueError(
+            f"more than {_EXPANSION_BUDGET >> (2 * n)} closest bent functions on {2 * n} "
+            f"variables: past the budget of {_EXPANSION_BUDGET} truth-table bits for listing "
+            "or realizing them; near --mode count gives their number"
+        )
+
+
+def _solved_flats(g: MMFunction, first: int) -> list[HSolutionSpace]:
+    """The H solutions of every L with a flat pi-image and dim L >= first, by
+    dim L and then in image_subspaces order, all solved before any is
+    expanded.  `first` is 0, or 2 for a caller that builds the dim <= 1
+    layer itself; its lambda neighbours then count towards the budget first.
 
     Raises ValueError as soon as the closest bent functions, truth tables of
     2^(2n) bits each, would exceed _EXPANSION_BUDGET = 2^26 bits together:
     pi = identity, phi = 0 at 2n = 10 has 2423520 of them, 2.5 GB as bytes.
     """
     spaces: list[HSolutionSpace] = []
-    count = 0
-    for k in range(g.n + 1):
+    count = lambda_(2 * g.n) if first == 2 else 0
+    _check_budget(count, g.n)
+    for k in range(first, g.n + 1):
         for L in image_subspaces(g.pi, k):
             spaces.append(h_solution_space(g, L))
             count += spaces[-1].count
-            if count << (2 * g.n) > _EXPANSION_BUDGET:
-                raise ValueError(
-                    f"more than {_EXPANSION_BUDGET >> (2 * g.n)} closest bent functions on {2 * g.n} "
-                    f"variables: past the budget of {_EXPANSION_BUDGET} truth-table bits for listing "
-                    "or realizing them; near --mode count gives their number"
-                )
+            _check_budget(count, g.n)
     return spaces
 
 
@@ -429,7 +445,7 @@ def near_enumerate(g: MMFunction) -> list[NearBentWitness]:
     (see _solved_flats), before building any witness.
     """
     out: list[NearBentWitness] = []
-    for space in _solved_flats(g):
+    for space in _solved_flats(g, 0):
         out += [NearBentWitness(space.domain, H, space.image) for H in space.maps()]
     return out
 
@@ -442,7 +458,7 @@ def near_count(g: MMFunction) -> int:
     through the linear solver.
     """
     n = g.n
-    total = (1 << (2 * n + 1)) - (1 << n)
+    total = lambda_(2 * n)
     for k in range(2, n + 1):
         for L in image_subspaces(g.pi, k):
             if k == 2:
@@ -463,21 +479,41 @@ def near_tables(g: MMFunction) -> np.ndarray:
     """Every closest bent neighbour f xor 1_U as one packed row.
 
     The same set as realize_near over near_enumerate, without a witness
-    object: per L the solution coefficients give H's anchor values, and one
-    _triple_points call gives the subspaces of all its H.  The result is a
-    (near_count(g), 2^(2n) / 8) uint8 array of distinct rows, packed like
-    np.packbits(TruthTable.to_u8(), bitorder="little"), in no set order.
+    object.  The dim <= 1 layer, lambda = 2^(2n+1) - 2^n rows, is written in
+    closed form: for each y0 one row flips the block y = y0 (dim 0), and for
+    each y0 < y1, with w = pi(y0) xor pi(y1), four rows flip the x with
+    <x, w> = h0 in block y0 and those with <x, w> = h1 in block y1 (dim 1,
+    every (h0, h1), as no equation binds a 2-point L).  For dim L >= 2 the
+    solution coefficients give H's anchor values, and one _triple_points
+    call per L gives the subspaces of all its H.  The result is a
+    (near_count(g), ceil(2^(2n) / 8)) uint8 array of distinct rows, packed
+    like np.packbits(TruthTable.to_u8(), bitorder="little"), in no set order.
     Raises ValueError past _EXPANSION_BUDGET (see _solved_flats), before
     expanding any solution.
     """
-    points = []
-    for space in _solved_flats(g):
+    n = g.n
+    size = 1 << n
+    spaces = _solved_flats(g, 2)
+    low = lambda_(2 * n)
+    values = np.empty((low + sum(space.count for space in spaces), size * size), dtype=np.uint8)
+    values[:] = build_mmf(g).to_u8()
+    blocks = values.reshape(len(values), size, size)  # [row, y, x]: point (y << n) | x
+    y = np.arange(size)
+    blocks[y, y] ^= 1
+    y0, y1 = np.triu_indices(size, 1)
+    t = np.array(g.pi.table)
+    ip = (np.bitwise_count(y[None, :] & (t[y0] ^ t[y1])[:, None]) & 1).astype(np.uint8)  # <x, w> per pair
+    for h, (h0, h1) in enumerate(itertools.product((0, 1), repeat=2)):
+        rows = size + 4 * np.arange(len(y0)) + h
+        blocks[rows, y0] ^= ip ^ (1 - h0)
+        blocks[rows, y1] ^= ip ^ (1 - h1)
+    row = low
+    for space in spaces:
         k = space.width
         anchors = ((space.coefficients()[:, None] >> (np.arange(k + 1) * k)) & ((1 << k) - 1)).astype(np.int64)
-        points.append(_triple_points(space.domain, space.image, anchors))
-    pts = np.concatenate(points)
-    values = np.repeat(build_mmf(g).to_u8()[None, :], len(pts), axis=0)
-    values[np.arange(len(pts))[:, None], pts] ^= 1
+        pts = _triple_points(space.domain, space.image, anchors)
+        values[np.arange(row, row + len(pts))[:, None], pts] ^= 1
+        row += len(pts)
     return np.packbits(values, axis=1, bitorder="little")
 
 
@@ -577,12 +613,14 @@ def _series_equations(
 def m_count(g: MMFunction) -> int:
     """|M(g)|: the linear n-dim U with f_(pi, phi) affine on every coset of U.
 
-    Each U is (L, W, H) with L linear.  The x-side (dim L = 0) counts 1; every
-    other L counts its number of linear H solving _series_equations.  Pi is
-    affine on the cosets of L only if D_u D_v pi = 0 for all u, v in L, so
-    every basis of a candidate L is a clique of the graph u ~ v iff
-    D_u D_v pi = 0; the candidates are grown as rref bases, last row first,
-    over that graph.
+    Each U is (L, W, H) with L linear.  The x-side (dim L = 0) counts 1.  A
+    line L = {0, u} has no equation, so it counts its two linear H exactly
+    when D_u pi is constant (one image direction on every coset), read from
+    the derivative table; every L of dim >= 2 counts its number of linear H
+    solving _series_equations.  Pi is affine on the cosets of L only if
+    D_u D_v pi = 0 for all u, v in L, so every basis of a candidate L is a
+    clique of the graph u ~ v iff D_u D_v pi = 0; the candidates are grown
+    as rref bases, last row first, over that graph.
     """
     n = g.n
     x = np.arange(1 << n)
@@ -590,6 +628,7 @@ def m_count(g: MMFunction) -> int:
     t = np.array(g.pi.table, dtype=np.uint8)  # n <= MAX_N = 8
     d = t[None, :] ^ t[shift]  # d[u, x] = D_u pi(x)
     adj = (d[:, shift] == d[:, None, :]).all(axis=2)  # D_u pi(x xor v) = D_u pi(x) for all x
+    const = (d == d[:, :1]).all(axis=1)  # D_u pi is constant
     nbrs = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(adj, axis=1, bitorder="little")]
 
     total = 1
@@ -607,10 +646,13 @@ def m_count(g: MMFunction) -> int:
             if not r & below or r & pivots:
                 continue
             grown = (r,) + basis
+            stack.append((grown, common & nbrs[r], pivots | (r & -r)))
+            if not basis:  # L = {0, r} has no equation: both H count iff D_r pi is constant
+                total += 2 * int(const[r])
+                continue
             eq = _series_equations(g, grown)
             if eq is not None:
                 sol = solve_linear(eq[1], eq[2], len(grown) ** 2)
                 if sol is not None:
                     total += 1 << len(sol[1])
-            stack.append((grown, common & nbrs[r], pivots | (r & -r)))
     return total

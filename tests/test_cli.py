@@ -70,6 +70,32 @@ def test_near_expansion_past_the_budget_is_a_usage_error(capsys, mode):
     assert rc == 0 and json.loads(out)["count"] == 2423520
 
 
+def test_near_brute_list_is_a_usage_error(capsys):
+    rc = cli.main(["near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "list", "--brute"])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--brute gives --mode count or realize" in captured.err
+
+
+def test_the_cached_parser_carries_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    sample = ("sample", "--kind", "m-size", "--two-n", "4", "--trials", "3")
+    rc, out = run_cli(capsys, *sample, "--seed", "5")
+    assert rc == 0 and json.loads(out)["seed"] == 5
+    rc, out = run_cli(capsys, *sample)
+    assert rc == 0 and json.loads(out)["seed"] != 5
+    near = ("near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "realize")
+    rc, out = run_cli(capsys, *near, "--brute")
+    assert rc == 0 and json.loads(out)["mode"] == "brute"
+    rc, out = run_cli(capsys, *near)
+    assert rc == 0 and "mode" not in json.loads(out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "9"])
+    assert exc.value.code == cli.EXIT_USAGE
+    rc, out = run_cli(capsys, "table", "1")
+    assert rc == 0 and out
+
+
 def test_near_brute_matches_criterion(capsys):
     rc, out1 = run_cli(
         capsys, "near", "--pi", "[0,1,2,3]", "--phi", "0000", "--mode", "realize"
@@ -230,7 +256,7 @@ def test_verify_non_positive_trials_usage_error(capsys, trials):
     assert captured.out == "" and "trials must be positive" in captured.err
 
 
-@pytest.mark.parametrize("spec", ["7", "26", "8..4", "0"])
+@pytest.mark.parametrize("spec", ["7", "26", "8..4", "0", "x", "4..x", ".."])
 def test_formulas_bad_two_n_says_why(capsys, spec):
     rc = cli.main(["formulas", "--two-n", spec])
     assert rc == cli.EXIT_USAGE

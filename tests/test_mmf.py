@@ -21,6 +21,7 @@ from mfnear.gf2 import (
     linear_subspace_bases,
     orthogonal,
     random_invertible,
+    solve_linear,
 )
 from mfnear.mmf import (
     HSolutionSpace,
@@ -39,8 +40,8 @@ from mfnear.mmf import (
     realize_near,
     witness,
 )
-from mfnear.mmf import _anchor_values, _image_direction, _triple_points
-from mfnear import oracle
+from mfnear.mmf import _anchor_values, _image_direction, _series_equations, _triple_points
+from mfnear import mmf, oracle
 from reference import embed_bits, hamming_distance, row_tables, xor_indicator
 
 
@@ -439,6 +440,32 @@ def test_m_count_degree3_phi_equals_scan(n):
     assert m_count(g) == oracle._m_count(build_mmf(g))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_m_count_dim1_closed_form_is_the_general_system(n):
+    # a 2-point L = {0, u} has no equation: both linear H solve it iff D_u pi is constant
+    rng = random.Random(67 + n)
+    size = 1 << n
+    polys = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
+    c = rng.randrange(1, size)
+    pis = [Permutation.random(n, rng) for _ in range(4)] + [
+        Permutation.identity(n),
+        Permutation(tuple(y ^ c for y in range(size)), n),
+        Permutation.from_linear(random_invertible(n, rng)),
+        gf_inversion(n, polys[n]),
+    ]
+    seen = set()
+    for pi in pis:
+        g = MMFunction(pi, TruthTable(n, rng.getrandbits(size)))
+        for u in range(1, size):
+            eq = _series_equations(g, (u,))
+            sol = None if eq is None else solve_linear(*eq[1:], 1)
+            general = 0 if sol is None else 1 << len(sol[1])
+            constant = len({pi(y ^ u) ^ pi(y) for y in range(size)}) == 1
+            assert general == 2 * constant
+            seen.add(constant)
+    assert True in seen and (n == 2 or False in seen)  # every permutation of Z2^2 is affine
+
+
 def test_m_subspaces_inner_product():
     from mfnear.boolfun import TruthTable as TT
 
@@ -491,8 +518,11 @@ def gf_inversion(n, poly):
 
 def near_tables_inputs():
     rng = random.Random(61)
+    for table in ((0, 1), (1, 0)):  # every MF function at 2n = 2: one y-pair
+        for bits in range(4):
+            yield MMFunction(Permutation(table, 1), TruthTable(1, bits))
     yield from all_mf4()
-    for n, count in ((3, 20), (4, 5)):
+    for n, count in ((3, 20), (4, 5), (5, 1)):
         for _ in range(count):
             yield MMFunction.random(n, rng)
     for pi in (
@@ -508,10 +538,26 @@ def near_tables_inputs():
 def test_near_tables_rows_are_the_realized_witnesses():
     for g in near_tables_inputs():
         rows = near_tables(g)
-        assert rows.dtype == np.uint8 and rows.shape == (near_count(g), (1 << 2 * g.n) // 8)
+        assert rows.dtype == np.uint8 and rows.shape == (near_count(g), -(-(1 << 2 * g.n) // 8))
         tables = row_tables(rows, 2 * g.n)
         assert len(tables) == len(rows)
         assert tables == {realize_near(g, w) for w in near_enumerate(g)}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_near_tables_budget_counts_the_closed_form_layer(monkeypatch, n):
+    # near_tables writes the lambda dim <= 1 rows itself; they still count
+    # first, also at n = 1, where no flat of dim >= 2 follows them
+    g = MMFunction.random(n, random.Random(71))
+    total, low = near_count(g), lambda_(2 * n)
+    for rows in (low - 1, total - low, total - 1):
+        monkeypatch.setattr(mmf, "_EXPANSION_BUDGET", rows << (2 * n))
+        with pytest.raises(ValueError, match=f"more than {rows} closest bent functions"):
+            near_tables(g)
+        with pytest.raises(ValueError):
+            near_enumerate(g)
+    monkeypatch.setattr(mmf, "_EXPANSION_BUDGET", total << (2 * n))
+    assert len(near_tables(g)) == len(near_enumerate(g)) == total
 
 
 def test_triple_points_batched_equal_the_definition():
