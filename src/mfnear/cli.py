@@ -216,7 +216,7 @@ def _run_suite(name: str, seed: int, trials: int) -> list[oracle.VerificationOut
         return [
             oracle.verify_beta(4),
             oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
-            oracle.verify_two_coset_lower(8, trials=max(3, trials // 4), seed=seed),
+            oracle.verify_two_coset_lower(trials=max(3, trials // 4), seed=seed),
         ]
     if name == "near":
         return [oracle.verify_near_equality(trials=trials, seed=seed)]
@@ -251,7 +251,7 @@ def cmd_sample(args) -> int:
     if args.kind == "near-average":
         est = oracle.sample_near_average(args.two_n, trials=args.trials, seed=args.seed)
     else:
-        est = oracle.m_census(args.two_n, mode="sample", trials=args.trials, seed=args.seed)
+        est = oracle.m_census(args.two_n, trials=args.trials, seed=args.seed)
     payload = {"schema": SCHEMA}
     payload.update(est.as_dict())
     _emit(json.dumps(payload, indent=2), args.out)

@@ -59,6 +59,13 @@ def sigma3_closed(n: int) -> Fraction:
     )
 
 
+def _dim_term(n: int, k: int) -> Fraction:
+    """sigma(n, k) 2^((k+1)^2 - 2^k): the expected number of closest bent
+    functions whose witness L has dim k, since over phi a k-flat in A_k(pi)
+    carries 2^((k+1)^2 - 2^k) valid H on average."""
+    return sigma(n, k) * _pow2((k + 1) ** 2 - (1 << k))
+
+
 def _check_two_n(two_n: int) -> int:
     if two_n < 2 or two_n % 2:
         raise ValueError("need an even number of variables >= 2")
@@ -77,15 +84,13 @@ def near_average(n: int) -> Fraction:
         raise ValueError("need n >= 1")
     total = Fraction(lambda_(2 * n))
     for k in range(2, n + 1):
-        total += sigma(n, k) * _pow2((k + 1) ** 2 - (1 << k))
+        total += _dim_term(n, k)
     return total
 
 
 def near_average_tail(n: int) -> Fraction:
     """sum_{k=3}^{n-1} sigma(n, k) 2^((k+1)^2 - 2^k)."""
-    return sum(
-        (sigma(n, k) * _pow2((k + 1) ** 2 - (1 << k)) for k in range(3, n)), Fraction(0)
-    )
+    return sum((_dim_term(n, k) for k in range(3, n)), Fraction(0))
 
 
 def near_average_decomposed(n: int) -> Fraction:
@@ -122,7 +127,7 @@ def near_mf_ratio(n: int) -> Fraction:
         return Fraction(0)
     total = Fraction(4, 3) * sigma(n, 2)
     for k in range(3, n + 1):
-        total += sigma(n, k) * _pow2((k + 1) ** 2 - (1 << k))
+        total += _dim_term(n, k)
     return total
 
 
@@ -311,7 +316,7 @@ def table(table_id: int) -> list[CountReport]:
             tail = near_average_tail(n)
             tail_f = 0.0
             for k in range(3, n):
-                tail_f += float(sigma(n, k) * _pow2((k + 1) ** 2 - (1 << k)))
+                tail_f += float(_dim_term(n, k))
             out.append(_report(f"2n={two_n} sigma3*2^8", c1, places=6))
             c2_text = str(int(c2)) if c2.denominator == 1 else f"{float(c2):.16f}"
             out.append(CountReport(f"2n={two_n} sigma4*2^9", c2_text, exact=c2, log2=log2_big(c2)))

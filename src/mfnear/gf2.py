@@ -207,9 +207,6 @@ class AffineSubspace:
     def contains(self, v: int) -> bool:
         return self.direction.contains(v ^ self.base)
 
-    def is_linear(self) -> bool:
-        return self.base == 0
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -226,10 +223,6 @@ class AffineMap:
     def __post_init__(self) -> None:
         if not 0 <= self.constant < (1 << self.matrix.width):
             raise ValueError("constant out of range for the matrix width")
-
-    @property
-    def codomain_width(self) -> int:
-        return self.matrix.width
 
     def evaluate(self, x: int) -> int:
         return self.matrix.mul_vec(x) ^ self.constant

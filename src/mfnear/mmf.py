@@ -96,12 +96,6 @@ class Permutation:
     def __call__(self, y: int) -> int:
         return self.table[y]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.table)
-        for y, v in enumerate(self.table):
-            inv[v] = y
-        return Permutation(tuple(inv), self.n)
-
 
 @dataclass(frozen=True)
 class MMFunction:
@@ -359,8 +353,6 @@ def h_solution_space(g: MMFunction, L: AffineSubspace) -> HSolutionSpace:
     image = _image_direction(g.pi, L)
     if image is None:
         raise ValueError("pi image of L is not an affine subspace")
-    if k == 0:
-        return HSolutionSpace(L, 0, image, 0, ())
     rows, rhs = _flat_equations(g, L.base, L.direction.points(), image.pivots)
     sol = solve_linear(rows, rhs, k * (k + 1))
     if sol is None:
@@ -556,11 +548,7 @@ def coincidence_parents(
                 # unique nonzero t orthogonal to delta in Z2^2: swap the bits
                 t = ((delta & 1) << 1) | ((delta >> 1) & 1)
                 h_values[p] = hp ^ t
-        b = L.base
-        anchor_vals = {b: h_values[b]}
-        for v in L.direction.basis:
-            anchor_vals[b ^ v] = h_values[b ^ v]
-        h2 = AffineMap.from_values(L, anchor_vals, 2)
+        h2 = AffineMap.from_values(L, h_values, 2)
         assert all(h2.evaluate(p) == h_values[p] for p in pts)
         parents.append((pi2, TruthTable(n, phi_bits), h2))
     return parents

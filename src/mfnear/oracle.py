@@ -1,21 +1,22 @@
 """Brute-force and Monte Carlo verifiers.
 
 The verifiers recompute every claim from definitions, using only the gf2
-and boolfun primitives plus the coset scan of kernels; the criterion machinery
-in mmf is the thing being checked, never part of the check itself.  The
-exceptions are explicitly statistical: sample_near_average and m_census
-draw on the criterion-side counters (mmf.near_count, mmf.m_count) to test
-the closed formulas.  _m_count is the scan reference for |M(f)| that the
-tests check mmf.m_count against.  Randomized runs are reproducible from
-(seed, trials) and report exact work counters.
+and boolfun primitives plus the coset scan of kernels; the criterion
+machinery in mmf is the thing being checked, never part of the check
+itself.  The brute references (near_brute, m_subspaces, _parent_scan,
+_confirm_parent, _count_mf_intersection_6, verify_sum_pi, verify_sum_phiH)
+name of mmf only the definitional MMFunction, Permutation, build_mmf and
+_ip_blocks; len(m_subspaces(f)) is the reference for mmf.m_count.  The
+exceptions are explicitly statistical: m_census and sample_near_average
+count seeded samples with mmf.m_count and mmf.near_count, through the one
+loop _sample, to test the closed formulas.  Randomized runs are
+reproducible from (seed, trials) and report exact work counters.
 
 The brute neighbour scan re-checks its own output: every f xor 1_U it
 finds is verified bent from its Walsh spectrum, all of them at once by one
 batched transform (boolfun.bent_rows).  near_brute returns the packed rows
 it bent-checked, the form mmf.near_tables gives the criterion side, so
-verify_near_equality and near_mf_census compare the two as sets of rows.  The rows are built from the
-kernel scan alone: near_brute shares only boolfun primitives with mmf,
-never near_tables, which is the side being checked.
+verify_near_equality and near_mf_census compare the two as sets of rows.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import sqrt
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,26 +102,13 @@ class SampleEstimate:
     std_error: float
     trials: int
     seed: int
-    target: Optional[float] = None
-    z: Optional[float] = None
-    exact_mean: Optional[Fraction] = None
+    target: float
+    z: Optional[float]
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d: dict = {
-            "kind": self.kind,
-            "two_n": self.two_n,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.target is not None:
-            d["target"] = self.target
-        if self.z is not None:
-            d["z"] = self.z
-        if self.exact_mean is not None:
-            d["exact_mean"] = str(self.exact_mean)
+        """The fields in order, z only when defined, then the extra fields."""
+        d = {k: v for k, v in vars(self).items() if k != "extra" and v is not None}
         d.update(self.extra)
         return d
 
@@ -157,16 +144,6 @@ def near_brute(f: TruthTable) -> np.ndarray:
     if not bent_rows(values).all():
         raise AssertionError("scan produced a non-bent neighbor")
     return np.packbits(values, axis=1, bitorder="little")
-
-
-def near_brute_count(f: TruthTable) -> int:
-    """|near(f)| by scan only (distinct subspaces give distinct neighbors)."""
-    if f.m % 2 or f.m > 8:
-        raise ValueError("brute scan supports even m <= 8")
-    n = f.m // 2
-    spans, reps = scan_arrays(f.m, n)
-    hits = kernels.coset_affine_bits(f.to_u8(), spans, reps)
-    return int(hits.sum())
 
 
 def _row_set(packed: np.ndarray) -> set[bytes]:
@@ -379,8 +356,9 @@ def _parent_scan(g: MMFunction, L: AffineSubspace, gt: TruthTable) -> list[tuple
     return found
 
 
-def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> VerificationOutcome:
-    """Each dim-2 neighbor has exactly 24 parents; dim >= 3 has exactly one.
+def verify_coincidence(trials: int = 20, seed: int = 1) -> VerificationOutcome:
+    """Each dim-2 neighbor at 2n = 6 has exactly 24 parents; dim >= 3 has
+    exactly one.
 
     Parents are found by exhaustive candidate scans with definitional
     membership checks and compared bitwise with the formula-produced
@@ -389,15 +367,15 @@ def verify_coincidence(trials: int = 20, seed: int = 1, n: int = 3) -> Verificat
     _at_least_one("trials", trials)
     t0 = time.perf_counter()
     work = {"trials": 0}
-    failure = _coincidence_failure(random.Random(seed), trials, n, work)
+    failure = _coincidence_failure(random.Random(seed), trials, work)
     return _timed("24-fold coincidence of dim-2 neighbors", failure is None, work, failure, t0)
 
 
-def _coincidence_failure(rng, trials: int, n: int, work: dict) -> Optional[str]:
+def _coincidence_failure(rng, trials: int, work: dict) -> Optional[str]:
     """The first failed check of verify_coincidence as a witness string, or
     None; counts trials and controls into `work`."""
     for _ in range(trials):
-        g, L = _sample_function_with_dim2(n, rng)
+        g, L = _sample_function_with_dim2(rng)
         space = h_solution_space(g, L)
         maps = space.maps()
         H = maps[rng.randrange(len(maps))]
@@ -424,7 +402,7 @@ def _coincidence_failure(rng, trials: int, n: int, work: dict) -> Optional[str]:
     # dim >= 3 control: the parent is unique
     work["controls"] = 0
     for _ in range(max(1, trials // 10)):
-        g, L3, H3 = _sample_function_with_dim3(n, rng)
+        g, L3, H3 = _sample_function_with_dim3(rng)
         w3 = witness(g, L3, H3)
         gt3 = realize_near(g, w3)
         scan3 = _parent_scan(g, L3, gt3)
@@ -434,17 +412,17 @@ def _coincidence_failure(rng, trials: int, n: int, work: dict) -> Optional[str]:
     return None
 
 
-def _sample_function_with_dim2(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
+def _sample_function_with_dim2(rng) -> tuple[MMFunction, AffineSubspace]:
     while True:
-        g = MMFunction.random(n, rng)
+        g = MMFunction.random(3, rng)
         a2 = image_subspaces(g.pi, 2)
         if a2:
             return g, a2[rng.randrange(len(a2))]
 
 
-def _sample_function_with_dim3(n: int, rng) -> tuple[MMFunction, AffineSubspace, AffineMap]:
+def _sample_function_with_dim3(rng) -> tuple[MMFunction, AffineSubspace, AffineMap]:
     while True:
-        g = MMFunction.random(n, rng)
+        g = MMFunction.random(3, rng)
         a3 = image_subspaces(g.pi, 3)
         rng_order = list(range(len(a3)))
         rng.shuffle(rng_order)
@@ -459,26 +437,22 @@ def _sample_function_with_dim3(n: int, rng) -> tuple[MMFunction, AffineSubspace,
 # census of the neighbors of the whole class at 2n = 4
 
 
-def all_mf_functions(n: int):
-    """Iterate every (pi, phi) pair; feasible for n <= 2."""
-    if n > 2:
-        raise ValueError("full class iteration is desk-scale only for n <= 2")
-    size = 1 << n
-    for table in itertools.permutations(range(size)):
-        pi = Permutation(table, n)
-        for bits in range(1 << size):
-            yield MMFunction(pi, TruthTable(n, bits))
+def all_mf_functions():
+    """Iterate all 384 (pi, phi) pairs of MF_4."""
+    for table in itertools.permutations(range(4)):
+        pi = Permutation(table, 2)
+        for bits in range(16):
+            yield MMFunction(pi, TruthTable(2, bits))
 
 
 def near_mf_census(mode: str = "brute") -> VerificationOutcome:
     """Global dedup census of near(MF_4): 512 outside MF, 896 in the union."""
     t0 = time.perf_counter()
-    n = 2
     mf_tables: set[bytes] = set()
     union: set[bytes] = set()
     per_counts = set()
     count_funcs = 0
-    for g in all_mf_functions(n):
+    for g in all_mf_functions():
         f = build_mmf(g)
         mf_tables.add(np.packbits(f.to_u8(), bitorder="little").tobytes())
         if mode == "brute":
@@ -530,96 +504,55 @@ def m_subspaces(f: TruthTable) -> list[LinearSubspace]:
     return [LinearSubspace(bases[i], f.m) for i in mask.nonzero()[0]]
 
 
-def _m_count(f: TruthTable) -> int:
-    """|M(f)| by the full subspace scan: the reference for mmf.m_count."""
-    return len(m_subspaces(f))
-
-
-def m_census(two_n: int, mode: str = "sample", trials: int = 1000, seed: int = 1) -> SampleEstimate:
-    """Mean count of coset-series subspaces over MF functions, by mmf.m_count.
-
-    Full mode (2n = 4 only) averages over all 384 functions and must give
-    exactly 15.  Sample mode draws seeded uniform (pi, phi); at 2n = 8 the
-    fraction with more than one subspace is tracked against its tiny target.
-    """
-    n = two_n // 2
-    if mode == "full":
-        if two_n != 4:
-            raise ValueError("full census only at 2n = 4")
-        counts = [m_count(g) for g in all_mf_functions(2)]
-        mean = Fraction(sum(counts), len(counts))
-        return SampleEstimate(
-            kind="m-size",
-            two_n=4,
-            mean=float(mean),
-            std_error=0.0,
-            trials=len(counts),
-            seed=0,
-            target=float(counting.expected_m(4)),
-            z=0.0,
-            exact_mean=mean,
-        )
+def _sample(
+    kind: str, two_n: int, trials: int, seed: int, count: Callable[[MMFunction], int], target: float
+) -> tuple[SampleEstimate, np.ndarray]:
+    """Seeded mean of count(g) over `trials` uniform g in MF_2n, with its
+    standard error and z-score against `target`; also returns the counts."""
     _at_least_one("trials", trials)
-    if two_n not in (4, 6, 8):
-        raise ValueError("sampled census supports 2n in {4, 6, 8}")
+    n = two_n // 2
     rng = random.Random(seed)
     counts = np.empty(trials, dtype=np.int64)
     for t in range(trials):
-        counts[t] = m_count(MMFunction.random(n, rng))
+        counts[t] = count(MMFunction.random(n, rng))
     mean = float(counts.mean())
     se = float(counts.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    target = float(counting.expected_m(two_n))
     z = (mean - target) / se if se else None
-    extra = {}
+    return SampleEstimate(kind, two_n, mean, se, trials, seed, target, z), counts
+
+
+def m_census(two_n: int, trials: int = 1000, seed: int = 1) -> SampleEstimate:
+    """Seeded mean count of coset-series subspaces over MF functions, by
+    mmf.m_count; at 2n = 8 the fraction with more than one subspace is
+    tracked against its tiny target."""
+    if two_n not in (4, 6, 8):
+        raise ValueError("sampled census supports 2n in {4, 6, 8}")
+    est, counts = _sample("m-size", two_n, trials, seed, m_count, float(counting.expected_m(two_n)))
     if two_n == 8:
         p_hat = float((counts > 1).mean())
         p_target = float(counting.expected_m(8) - 1)
         p_se = sqrt(p_target * (1 - p_target) / trials)
-        extra = {
+        est.extra = {
             "multi_fraction": p_hat,
             "multi_target": p_target,
             "multi_z": (p_hat - p_target) / p_se,
         }
-    return SampleEstimate(
-        kind="m-size",
-        two_n=two_n,
-        mean=mean,
-        std_error=se,
-        trials=trials,
-        seed=seed,
-        target=target,
-        z=z,
-        extra=extra,
-    )
+    return est
 
 
 def sample_near_average(two_n: int, trials: int = 1000, seed: int = 1) -> SampleEstimate:
     """Seeded mean of |near(f)| against the exact expectation formula."""
-    _at_least_one("trials", trials)
     if two_n not in (8, 10):
         raise ValueError("sampling supported at 2n in {8, 10}")
-    n = two_n // 2
-    rng = random.Random(seed)
-    counts = np.empty(trials, dtype=np.int64)
     floor = counting.lambda_(two_n)
-    for t in range(trials):
-        c = near_count(MMFunction.random(n, rng))
+
+    def count(g: MMFunction) -> int:
+        c = near_count(g)
         if c < floor:
             raise AssertionError("near count fell below the in-class floor")
-        counts[t] = c
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / sqrt(trials)) if trials > 1 else 0.0
-    target = float(counting.near_average(n))
-    return SampleEstimate(
-        kind="near-average",
-        two_n=two_n,
-        mean=mean,
-        std_error=se,
-        trials=trials,
-        seed=seed,
-        target=target,
-        z=(mean - target) / se if se else None,
-    )
+        return c
+
+    return _sample("near-average", two_n, trials, seed, count, float(counting.near_average(two_n // 2)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -690,49 +623,36 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
     return g, U
 
 
-def verify_two_coset_lower(two_n: int = 8, trials: int = 10, seed: int = 1) -> VerificationOutcome:
-    """Constructed double-series functions have at least 2^(2n+2) - 2^(n+3)
-    closest bent functions, by full brute scan."""
+def verify_two_coset_lower(trials: int = 10, seed: int = 1) -> VerificationOutcome:
+    """Constructed double-series functions at 2n = 8 have at least
+    2^(2n+2) - 2^(n+3) = 896 closest bent functions, by full brute scan."""
     _at_least_one("trials", trials)
     t0 = time.perf_counter()
-    if two_n != 8:
-        raise ValueError("the bound is exercised at 2n = 8")
-    n = two_n // 2
+    label = "two-coset-series lower bound"
     rng = random.Random(seed)
-    bound = (1 << (two_n + 2)) - (1 << (n + 3))
+    bound = (1 << 10) - (1 << 7)
+    x_side = LinearSubspace.from_vectors([1 << i for i in range(4)], 8)
     least = None
     for _ in range(trials):
-        g, U = construct_two_series(n, rng)
+        g, U = construct_two_series(4, rng)
         f = build_mmf(g)
-        x_side = LinearSubspace.from_vectors([1 << i for i in range(n)], two_n)
         series = set(m_subspaces(f))
         if x_side not in series:
-            return _timed("two-coset-series lower bound", False, {}, "x-side series broken", t0)
+            return _timed(label, False, {}, "x-side series broken", t0)
         if U.direction not in series:
-            return _timed(
-                "two-coset-series lower bound", False, {}, "constructed series broken", t0
-            )
+            return _timed(label, False, {}, "constructed series broken", t0)
         if U.base != 0 or U.direction.basis == x_side.basis:
-            return _timed(
-                "two-coset-series lower bound", False, {}, "constructed subspace is trivial", t0
-            )
-        c = near_brute_count(f)
+            return _timed(label, False, {}, "constructed subspace is trivial", t0)
+        c = len(near_brute(f))
         least = c if least is None else min(least, c)
         if c < bound:
-            return _timed(
-                "two-coset-series lower bound",
-                False,
-                {"trials": trials},
-                f"near count {c} below bound {bound}",
-                t0,
-            )
+            return _timed(label, False, {"trials": trials}, f"near count {c} below bound {bound}", t0)
     # control: a generic function gets no assertion, only a record
-    g_ctl = MMFunction.random(n, rng)
-    ctl_m = _m_count(build_mmf(g_ctl))
+    ctl_m = len(m_subspaces(build_mmf(MMFunction.random(4, rng))))
     return _timed(
-        "two-coset-series lower bound",
+        label,
         True,
-        {"trials": trials, "bound": bound, "least_count": least or 0, "control_m": ctl_m},
+        {"trials": trials, "bound": bound, "least_count": least, "control_m": ctl_m},
         None,
         t0,
     )
@@ -761,7 +681,7 @@ def verify_beta(two_n: int, seed: int = 1, subspace_samples: int = 20) -> Verifi
         x_basis = (1, 2)
         bases = linear_subspace_bases(4, 2)
         spans, reps = scan_arrays(4, 2)
-        tables = [build_mmf(g) for g in all_mf_functions(n)]
+        tables = [build_mmf(g) for g in all_mf_functions()]
         counts = sum(kernels.coset_affine_all(f.to_u8(), spans, reps).astype(np.int64) for f in tables)
         rows = [i for i, basis in enumerate(bases) if basis != x_basis]
         strata = {0: [], 1: []}

@@ -1,5 +1,6 @@
 """Pinned `near` output: list-mode fields, dim-2 parents and realized tables,
-on the criterion side and on the brute scan (`--brute`).
+on the criterion side and on the brute scan (`--brute`); and pinned
+`sample` and `verify` output on fixed seeds.
 
 The digests are sha256 of the exact stdout bytes of `mfnear near` on fixed
 inputs (drawn once by MMFunction.random(n, random.Random(seed)) for
@@ -7,6 +8,11 @@ inputs (drawn once by MMFunction.random(n, random.Random(seed)) for
 witness (L, info_set, H matrix and constant) and of a parent, so a change
 in the types behind them cannot change the output unnoticed.  The parents
 index is the first dim-2 witness of the list; (3, 2) has none.
+
+The `sample` and `verify` digests pin the seeded estimates (mean, standard
+error, target, z, the 2n = 8 multi_* fields; z is absent at --trials 1) and
+each suite's labels, statuses and work counters.  They run without
+--timings, so the output is byte-deterministic.
 """
 
 import hashlib
@@ -48,5 +54,38 @@ GOLDEN = [
 def test_near_output_digest(capsys, name, extra, digest):
     pi, phi = INPUTS[name]
     assert cli.main(["near", "--pi", pi, "--phi", phi, *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SEEDED_GOLDEN = [
+    (("sample", "--kind", "m-size", "--two-n", "4", "--trials", "40", "--seed", "1"),
+     "adc7d40cd279056e2a468d4b7097fb4247f5fcef5bbdb146530295f1983a3ab4"),
+    (("sample", "--kind", "m-size", "--two-n", "4", "--trials", "1", "--seed", "1"),
+     "059971e8e557779836fc0e2e951bf7c5b68e7921bad4f618d63b800f7b769c94"),
+    (("sample", "--kind", "m-size", "--two-n", "6", "--trials", "30", "--seed", "2"),
+     "cc2eabb73e8ddd0a46fd7d9ef84c5d6fd2d8878dd6a440e8baee4a793bbc3fcf"),
+    (("sample", "--kind", "m-size", "--two-n", "8", "--trials", "6", "--seed", "3"),
+     "81f7b476d59d4fb68050b3d5b4a7743e74c51328c37e2ed6a7074cfb138b165d"),
+    (("sample", "--kind", "near-average", "--two-n", "8", "--trials", "6", "--seed", "4"),
+     "c1b0c4a92006c3e409c7e4a70ceda262ddeb068a117d6f039332ba4924be2ea1"),
+    (("verify", "--suite", "coincidence", "--trials", "2", "--seed", "1"),
+     "3b7ca5448419602b638c8f1971f7e73068d71f00eba4bbf2d8578b874eb25be8"),
+    (("verify", "--suite", "beta", "--trials", "4", "--seed", "2"),
+     "0474ee96ebbf7c8a72427aeec768b223d2d4b753e2d6f59e5dbd9f4cd276dbb8"),
+    (("verify", "--suite", "census", "--seed", "3"),
+     "e395cf08bc78e5c4213446218bf868e8d3c3d7ec16bafc7d7b35cb8f66a4f5fe"),
+    (("verify", "--suite", "sums", "--seed", "4"),
+     "282dcbf9111ca772812bc1991e407ebf4c34ff197dda7eed17eb151cb7517489"),
+    (("verify", "--suite", "near", "--trials", "2", "--seed", "5"),
+     "32c31249651d488d3fff4ccedd783a10af78b93c6f761f08a50a897fc5c253f2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", SEEDED_GOLDEN, ids=["-".join(a[:1] + a[2::2]) for a, _ in SEEDED_GOLDEN]
+)
+def test_seeded_output_digest(capsys, argv, digest):
+    assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

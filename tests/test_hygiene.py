@@ -1,7 +1,8 @@
 """Source hygiene: no unused import in the package or the tests, no
-unreferenced definition in the package, no public definition that only
-tests call unless it is listed, and the criterion module kept off the
-brute-force scan.
+unreferenced definition in the package, no public definition or public
+method that only tests call unless it is listed, the criterion module kept
+off the brute-force scan, and the oracle's brute references kept off the
+criterion.
 
 The checks read the source with the stdlib ast module.  A name counts as
 used when it appears as a name, an attribute, an import or an identifier
@@ -32,6 +33,29 @@ TEST_ONLY_API_ALLOWED = {
     ("counting", "beta_lower"): "the paper's lower bound, checked below beta",
     ("counting", "mfc_lower_closed"): "the paper's closed lower bound, checked against mfc_bounds",
 }
+
+# methods of public classes that only tests call, kept on purpose; a method
+# counts as called when any file outside the tests names its attribute
+TEST_ONLY_METHODS_ALLOWED = {
+    ("mmf", "Permutation", "identity"): "the identity permutation the m_count and near tests start from",
+    ("mmf", "Permutation", "from_linear"): "the planned affine-class enumerator will call it",
+    ("gf2", "Gf2Matrix", "identity"): "the identity matrix the gf2 and EA tests start from",
+    ("gf2", "Gf2Matrix", "inverse"): "the EA tests' reference for the inverse of a transform",
+    ("gf2", "AffineSubspace", "from_point"): "the one-point flat of the gf2, boolfun and H-solution tests",
+}
+
+# the oracle's brute references: the criterion in mmf is what they check,
+# so of mmf they may name only the definitional pair and MM truth table
+BRUTE_REFERENCES = (
+    "near_brute",
+    "m_subspaces",
+    "_parent_scan",
+    "_confirm_parent",
+    "_count_mf_intersection_6",
+    "verify_sum_pi",
+    "verify_sum_phiH",
+)
+MMF_DEFINITIONS = {"MMFunction", "Permutation", "build_mmf", "_ip_blocks"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -93,24 +117,35 @@ def test_every_top_level_definition_is_referenced():
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
-    # a public name that only tests call is dead API unless it is listed
+    # a public name or public method that only tests call is dead API unless
+    # it is listed
     files = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "bench").rglob("*.py"))
     refs = set()
     for path in files:
         refs |= _references(_tree(path))
     test_only = set()
+    test_only_methods = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _tree(path).body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and node.name not in refs
-            ):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in refs:
                 test_only.add((path.stem, node.name))
-    allowed = TEST_ONLY_API_ALLOWED.keys()
-    assert not test_only - allowed, f"public but called only from tests: {sorted(test_only - allowed)}"
-    assert not allowed - test_only, f"allowed but no longer test-only: {sorted(allowed - test_only)}"
+            if isinstance(node, ast.ClassDef):
+                test_only_methods |= {
+                    (path.stem, node.name, m.name)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_")
+                    and m.name not in refs
+                }
+    for found, allowed in (
+        (test_only, TEST_ONLY_API_ALLOWED.keys()),
+        (test_only_methods, TEST_ONLY_METHODS_ALLOWED.keys()),
+    ):
+        assert not found - allowed, f"public but called only from tests: {sorted(found - allowed)}"
+        assert not allowed - found, f"allowed but no longer test-only: {sorted(allowed - found)}"
 
 
 def test_criterion_module_does_not_import_the_scan():
@@ -126,14 +161,18 @@ def test_criterion_module_does_not_import_the_scan():
 
 
 def test_brute_neighbour_scan_uses_no_criterion_code():
-    # the near suites check mmf.near_tables against oracle.near_brute, so the
-    # scan may share boolfun primitives with the criterion but no mmf code
-    mmf_defs = {
+    # the suites check mmf against these scans, so a scan may share gf2 and
+    # boolfun primitives with the criterion but no mmf code beyond the
+    # definitions of (pi, phi) and of its truth table
+    criterion = {
         node.name for node in _tree(PACKAGE / "mmf.py").body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } - MMF_DEFINITIONS
+    bodies = {
+        node.name: node for node in _tree(PACKAGE / "oracle.py").body if isinstance(node, ast.FunctionDef)
     }
-    scan = next(
-        node for node in _tree(PACKAGE / "oracle.py").body
-        if isinstance(node, ast.FunctionDef) and node.name == "near_brute"
-    )
-    used = {node.id for node in ast.walk(scan) if isinstance(node, ast.Name)}
-    assert not used & mmf_defs, sorted(used & mmf_defs)
+    assert set(BRUTE_REFERENCES) <= bodies.keys(), sorted(set(BRUTE_REFERENCES) - bodies.keys())
+    used = {
+        name: sorted({node.id for node in ast.walk(bodies[name]) if isinstance(node, ast.Name)} & criterion)
+        for name in BRUTE_REFERENCES
+    }
+    assert not any(used.values()), {name: names for name, names in used.items() if names}

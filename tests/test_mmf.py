@@ -162,7 +162,7 @@ def test_compose_subspace_is_onto_each_stratum():
                     for values in itertools.product(range(1 << d), repeat=d):
                         H = AffineMap.from_values(L, {0: 0, **dict(zip(l_basis, values))}, d) if d else None
                         U = compose_subspace(L, W, H)
-                        assert U.is_linear() and oracle._dim_x_intersection(U.direction, n) == k
+                        assert U.base == 0 and oracle._dim_x_intersection(U.direction, n) == k
                         stratum.add(U.direction)
             assert len(stratum) == (1 << (d * d)) * gaussian_binomial(n, k) ** 2
             union |= stratum
@@ -412,7 +412,7 @@ def test_coincidence_rejects_wrong_dim():
 
 
 def test_m_count_equals_scan_on_mf4():
-    assert all(m_count(g) == oracle._m_count(build_mmf(g)) for g in all_mf4())
+    assert all(m_count(g) == len(oracle.m_subspaces(build_mmf(g))) for g in all_mf4())
 
 
 @pytest.mark.parametrize("n, trials", [(3, 200), (4, 40)])
@@ -422,14 +422,14 @@ def test_m_count_equals_scan_on_samples(n, trials):
     for i in range(trials):
         g = oracle.construct_two_series(n, rng)[0] if i % 4 == 0 else MMFunction.random(n, rng)
         c = m_count(g)
-        assert c == oracle._m_count(build_mmf(g))
+        assert c == len(oracle.m_subspaces(build_mmf(g)))
         sizes.add(c)
     assert 1 in sizes and len(sizes) >= 3
 
 
 def test_m_count_identity_pi_at_2n8():
     g = MMFunction(Permutation.identity(4), TruthTable.zero(4))
-    assert m_count(g) == oracle._m_count(build_mmf(g)) == 2295
+    assert m_count(g) == len(oracle.m_subspaces(build_mmf(g))) == 2295
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -437,7 +437,7 @@ def test_m_count_degree3_phi_equals_scan(n):
     # phi = y1 y2 y3 has degree 3 on every coset of the L that contain e1, e2, e3
     phi = sum(1 << y for y in range(1 << n) if y & 7 == 7)
     g = MMFunction(Permutation.identity(n), TruthTable(n, phi))
-    assert m_count(g) == oracle._m_count(build_mmf(g))
+    assert m_count(g) == len(oracle.m_subspaces(build_mmf(g)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -479,7 +479,6 @@ def test_m_subspaces_inner_product():
 def test_near_count_ea_invariant():
     rng = random.Random(55)
     from mfnear.boolfun import ea_transform
-    from mfnear.oracle import near_brute_count
 
     g = MMFunction.random(3, rng)
     base = near_count(g)
@@ -487,14 +486,12 @@ def test_near_count_ea_invariant():
     for _ in range(5):
         A = random_invertible(6, rng)
         ft = ea_transform(f, A, rng.getrandbits(6))
-        assert near_brute_count(ft) == base
+        assert len(oracle.near_brute(ft)) == base
 
 
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1, 2), 2)
-    pi = Permutation((2, 0, 3, 1), 2)
-    assert pi.inverse().table == (1, 3, 0, 2)
 
 
 def gf_inversion(n, poly):

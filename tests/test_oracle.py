@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 from mfnear import counting, kernels, oracle
 from mfnear.boolfun import TruthTable, is_bent
 from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
-from mfnear.mmf import MMFunction, build_mmf, near_enumerate, near_tables, realize_near
+from mfnear.mmf import MMFunction, build_mmf, m_count, near_enumerate, near_tables, realize_near
 from reference import row_tables, xor_indicator
 
 
 def test_near_brute_uniform_60_on_sample():
-    for g in itertools.islice(oracle.all_mf_functions(2), 25):
+    for g in itertools.islice(oracle.all_mf_functions(), 25):
         f = build_mmf(g)
         neighbors = oracle.near_brute(f)
         assert len(neighbors) == 60
@@ -151,21 +152,20 @@ def test_mf6_census_by_dedup():
 
 
 def test_m_census_full_mean_15():
-    est = oracle.m_census(4, mode="full")
-    assert est.exact_mean == 15
+    assert Fraction(sum(map(m_count, oracle.all_mf_functions())), 384) == 15
 
 
 def test_m_census_sampled_6():
-    est = oracle.m_census(6, mode="sample", trials=300, seed=3)
+    est = oracle.m_census(6, trials=300, seed=3)
     assert est.trials == 300
     assert abs(est.z) < 4
     # reproducible for a fixed seed
-    again = oracle.m_census(6, mode="sample", trials=300, seed=3)
+    again = oracle.m_census(6, trials=300, seed=3)
     assert again.mean == est.mean and again.std_error == est.std_error
 
 
 def test_m_census_sampled_8():
-    est = oracle.m_census(8, mode="sample", trials=200, seed=5)
+    est = oracle.m_census(8, trials=200, seed=5)
     assert est.mean >= 1.0
     assert "multi_fraction" in est.extra
     assert abs(est.extra["multi_z"]) < 4
@@ -176,7 +176,7 @@ def test_m_census_8_is_the_scan_mean(seed):
     # the census draws the same functions as this loop and counts them by
     # mmf.m_count; the scan reference must give the same mean
     rng = random.Random(seed)
-    counts = [oracle._m_count(build_mmf(MMFunction.random(4, rng))) for _ in range(8)]
+    counts = [len(oracle.m_subspaces(build_mmf(MMFunction.random(4, rng)))) for _ in range(8)]
     assert oracle.m_census(8, trials=8, seed=seed).mean == float(np.mean(counts))
 
 
@@ -198,13 +198,13 @@ def test_construct_two_series_properties():
     for _ in range(5):
         g, U = oracle.construct_two_series(4, rng)
         f = build_mmf(g)
-        assert U.is_linear() and U.dim == 4
+        assert U.base == 0 and U.dim == 4
         ms = oracle.m_subspaces(f)
         assert U.direction in ms and len(ms) >= 2
 
 
 def test_verify_two_coset_lower():
-    out = oracle.verify_two_coset_lower(8, trials=3, seed=4)
+    out = oracle.verify_two_coset_lower(trials=3, seed=4)
     assert out.passed, out.witness
     assert out.work["least_count"] >= 896
 
@@ -212,7 +212,7 @@ def test_verify_two_coset_lower():
 @pytest.mark.parametrize("call", [
     lambda: oracle.verify_near_equality(0, 1),
     lambda: oracle.verify_coincidence(trials=0),
-    lambda: oracle.verify_two_coset_lower(8, trials=0),
+    lambda: oracle.verify_two_coset_lower(trials=0),
     lambda: oracle.verify_beta(6, subspace_samples=0),
     lambda: oracle.m_census(6, trials=0),
     lambda: oracle.sample_near_average(8, trials=0),
