@@ -9,11 +9,18 @@ at byte x // 8, bit x % 8 (np.packbits(TruthTable.to_u8(), bitorder=
 "little")); hex_rows formats each row as TruthTable.to_hex does.  Walsh
 spectra of many rows come from one batched transform (walsh_rows), in
 int16 while 2^m <= 2^14 and int32 above.
+
+The linear functions x -> <x, p> on k variables, one 2^k-bit pattern per p,
+come from one table, _ip_blocks(k): the y-blocks of MF truth tables are
+read from it (mmf.build_mmf, mmf.decode_mm, oracle._parent_scan), and
+kernels.affine_lut marks these patterns and their complements as the
+affine ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,6 +28,20 @@ import numpy as np
 from .gf2 import AffineSubspace, Gf2Matrix, dot
 
 MAX_VARS = 16
+
+
+@lru_cache(maxsize=None)
+def _ip_blocks(n: int) -> tuple[int, ...]:
+    """Block patterns: bit x of block[p] is <x, p>."""
+    size = 1 << n
+    out = []
+    for p in range(size):
+        v = 0
+        for x in range(size):
+            if dot(x, p):
+                v |= 1 << x
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -54,6 +75,8 @@ class TruthTable:
         s = s.strip().lower()
         if len(s) != digits:
             raise ValueError(f"expected {digits} hex digits for m={m}, got {len(s)}")
+        if set(s) - set("0123456789abcdef"):  # int(s, 16) also takes a sign, "_" and "0x"
+            raise ValueError(f"{s!r} is not a string of hex digits")
         return cls(m, int(s, 16))
 
     def to_hex(self) -> str:
@@ -181,17 +204,3 @@ def ea_transform(
         hv = (np.bitwise_count(x & np.uint32(h.linear_part)) & 1).astype(np.uint8)
         vals = vals ^ hv ^ np.uint8(h.constant)
     return TruthTable.from_u8(vals, m)
-
-
-def all_affine_patterns(k: int) -> frozenset[int]:
-    """Truth-table patterns of every affine function on k variables."""
-    full = (1 << (1 << k)) - 1
-    patterns = set()
-    for a in range(1 << k):
-        v = 0
-        for x in range(1 << k):
-            if dot(a, x):
-                v |= 1 << x
-        patterns.add(v)
-        patterns.add(v ^ full)
-    return frozenset(patterns)

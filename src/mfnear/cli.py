@@ -19,7 +19,7 @@ import json
 import os
 import random
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from . import counting, oracle
 from .boolfun import TruthTable, hex_rows, is_bent
@@ -199,42 +199,27 @@ def cmd_near(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(name: str, seed: int, trials: int) -> list[oracle.VerificationOutcome]:
-    if name == "sums":
-        out = []
-        for n in (2, 3):
-            for k in range(n + 1):
-                out.append(oracle.verify_sum_pi(n, k))
-        for k in (1, 2, 3):
-            out.append(oracle.verify_sum_phiH(k, seed=seed))
-        return out
-    if name == "coincidence":
-        return [oracle.verify_coincidence(trials=trials, seed=seed)]
-    if name == "census":
-        return [oracle.near_mf_census(mode="brute"), oracle.near_mf_census(mode="criterion")]
-    if name == "beta":
-        return [
-            oracle.verify_beta(4),
-            oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
-            oracle.verify_two_coset_lower(trials=max(3, trials // 4), seed=seed),
-        ]
-    if name == "near":
-        return [oracle.verify_near_equality(trials=trials, seed=seed)]
-    raise ValueError(f"unknown suite {name!r}")
+# the verify suites, name -> runner(seed, trials), in `--suite all` order
+_SUITES: dict[str, Callable[[int, int], list[oracle.VerificationOutcome]]] = {
+    "sums": lambda seed, trials: [oracle.verify_sum_pi(n, k) for n in (2, 3) for k in range(n + 1)]
+    + [oracle.verify_sum_phiH(k, seed=seed) for k in (1, 2, 3)],
+    "coincidence": lambda seed, trials: [oracle.verify_coincidence(trials=trials, seed=seed)],
+    "census": lambda seed, trials: [oracle.near_mf_census(mode="brute"), oracle.near_mf_census(mode="criterion")],
+    "beta": lambda seed, trials: [
+        oracle.verify_beta(4),
+        oracle.verify_beta(6, seed=seed, subspace_samples=max(3, trials // 4)),
+        oracle.verify_two_coset_lower(trials=max(3, trials // 4), seed=seed),
+    ],
+    "near": lambda seed, trials: [oracle.verify_near_equality(trials=trials, seed=seed)],
+}
 
 
 def cmd_verify(args) -> int:
-    if args.trials <= 0:
+    if args.trials <= 0:  # checked here: sums and census ignore --trials
         print("trials must be positive", file=sys.stderr)
         return EXIT_USAGE
-    suites = (
-        ["sums", "coincidence", "census", "beta", "near"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    outcomes = []
-    for s in suites:
-        outcomes.extend(_run_suite(s, args.seed, args.trials))
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    outcomes = [o for s in suites for o in _SUITES[s](args.seed, args.trials)]
     payload = {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -245,9 +230,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.trials <= 0:
-        print("trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
     if args.kind == "near-average":
         est = oracle.sample_near_average(args.two_n, trials=args.trials, seed=args.seed)
     else:
@@ -289,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     nr.set_defaults(func=cmd_near)
 
     v = sub.add_parser("verify", help="run oracle verification suites")
-    v.add_argument("--suite", choices=("all", "sums", "coincidence", "census", "beta", "near"), default="all")
+    v.add_argument("--suite", choices=("all", *_SUITES), default="all")
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--timings", action="store_true")

@@ -292,6 +292,11 @@ def _log2_report(label: str, value: Exact) -> CountReport:
     return CountReport(label, f"{lg:.6f}", exact=value, log2=lg)
 
 
+def _lower_report(label: str, lower: int) -> CountReport:
+    """A lower bound's cell: its log2, or "< 0" when it is not positive."""
+    return _log2_report(label, lower) if lower > 0 else CountReport(label, "< 0", exact=lower)
+
+
 # literature values for the all-bent-functions column (not computed here)
 _BENT_TOTALS: dict[int, CountReport] = {
     2: CountReport("|B_2|", "8", exact=8, log2=3.0, source="external"),
@@ -311,12 +316,12 @@ def table(table_id: int) -> list[CountReport]:
         out = []
         for two_n in range(8, 25, 2):
             n = two_n // 2
-            c1 = sigma(n, 3) * 256
-            c2 = sigma(n, 4) * 512
-            tail = near_average_tail(n)
+            terms = [_dim_term(n, k) for k in range(3, n + 1)]
+            c1, c2 = terms[:2]  # sigma(n, 3) 2^8 and sigma(n, 4) 2^9
+            tail = sum(terms[:-1], Fraction(0))  # near_average_tail(n)
             tail_f = 0.0
-            for k in range(3, n):
-                tail_f += float(_dim_term(n, k))
+            for term in terms[:-1]:
+                tail_f += float(term)
             out.append(_report(f"2n={two_n} sigma3*2^8", c1, places=6))
             c2_text = str(int(c2)) if c2.denominator == 1 else f"{float(c2):.16f}"
             out.append(CountReport(f"2n={two_n} sigma4*2^9", c2_text, exact=c2, log2=log2_big(c2)))
@@ -357,10 +362,7 @@ def table(table_id: int) -> list[CountReport]:
         out = []
         for two_n in range(2, 17, 2):
             lower, upper = mfc_bounds(two_n)
-            if lower <= 0:
-                out.append(CountReport(f"2n={two_n} lower", "< 0", exact=lower))
-            else:
-                out.append(_log2_report(f"2n={two_n} lower", lower))
+            out.append(_lower_report(f"2n={two_n} lower", lower))
             out.append(_log2_report(f"2n={two_n} upper", upper))
         return out
     if table_id == 5:
@@ -394,23 +396,8 @@ def formulas(two_n: int) -> list[CountReport]:
     for k in range(2, n + 1):
         out.append(_report(f"2n={two_n} sigma(n,{k})", sigma(n, k)))
     lower, upper = mfc_bounds(two_n)
-    out.append(
-        CountReport(
-            f"2n={two_n} mfc_lower",
-            "< 0" if lower <= 0 else f"{log2_big(lower):.6f}",
-            exact=lower,
-            log2=log2_big(lower) if lower > 0 else None,
-        )
-    )
+    out.append(_lower_report(f"2n={two_n} mfc_lower", lower))
     out.append(_log2_report(f"2n={two_n} mfc_upper", upper))
     if two_n >= 10:
-        for key, value in near_mfc_upper(two_n).items():
-            out.append(
-                CountReport(
-                    f"2n={two_n} {key}",
-                    f"{log2_big(value):.6f}",
-                    exact=value,
-                    log2=log2_big(value),
-                )
-            )
+        out += [_log2_report(f"2n={two_n} {key}", value) for key, value in near_mfc_upper(two_n).items()]
     return out

@@ -158,9 +158,6 @@ class LinearSubspace:
             pts += [p ^ b for p in pts]
         return pts
 
-    def contains(self, v: int) -> bool:
-        return reduce_by_basis(v, self.basis) == 0
-
 
 def reduce_by_basis(v: int, basis: tuple[int, ...]) -> int:
     """Reduce v modulo an rref basis: zero out its pivot coordinates."""
@@ -203,9 +200,6 @@ class AffineSubspace:
 
     def points(self) -> list[int]:
         return [self.base ^ p for p in self.direction.points()]
-
-    def contains(self, v: int) -> bool:
-        return self.direction.contains(v ^ self.base)
 
 
 @dataclass(frozen=True)
@@ -265,21 +259,8 @@ def gaussian_binomial(n: int, k: int) -> int:
 
 
 def orthogonal(L: LinearSubspace) -> LinearSubspace:
-    """All y with <x, y> = 0 for every x in L."""
-    n = L.ambient
-    pivset = set(L.pivots)
-    rows_by_pivot = {(-r & r).bit_length(): r for r in L.basis}
-    out = []
-    for col in range(1, n + 1):
-        if col in pivset:
-            continue
-        # free column -> kernel vector with y_col = 1, y_p = row_p[col]
-        y = 1 << (col - 1)
-        for p, row in rows_by_pivot.items():
-            if (row >> (col - 1)) & 1:
-                y |= 1 << (p - 1)
-        out.append(y)
-    return LinearSubspace.from_vectors(out, n)
+    """All y with <x, y> = 0 for every x in L: the kernel of L's basis rows."""
+    return LinearSubspace.from_vectors(solve_linear(list(L.basis), [0] * L.dim, L.ambient)[1], L.ambient)
 
 
 MAX_ENUM_AMBIENT = 8

@@ -68,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfun import all_affine_patterns
+from .boolfun import _ip_blocks
 from .gf2 import coset_representatives, linear_subspace_bases
 
 MAX_LUT_K = 4  # largest k: affine_lut(4) has 2^16 entries, a C span 16 points
@@ -76,12 +76,15 @@ MAX_LUT_K = 4  # largest k: affine_lut(4) has 2^16 entries, a C span 16 points
 
 @lru_cache(maxsize=None)
 def affine_lut(k: int) -> np.ndarray:
-    """uint8 table over all 2^(2^k) restriction patterns: 1 iff affine."""
+    """uint8 table over all 2^(2^k) restriction patterns: 1 iff affine.
+
+    The affine patterns are the linear ones, boolfun._ip_blocks(k), and
+    their complements."""
     if not 0 <= k <= MAX_LUT_K:
         raise ValueError(f"pattern table supports k <= {MAX_LUT_K}")
     lut = np.zeros(1 << (1 << k), dtype=np.uint8)
-    for p in all_affine_patterns(k):
-        lut[p] = 1
+    linear = np.array(_ip_blocks(k))
+    lut[linear] = lut[linear ^ (len(lut) - 1)] = 1
     return lut
 
 

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boolfun import TruthTable, is_affine_on
+from .boolfun import TruthTable, _ip_blocks, is_affine_on
 from .counting import lambda_
 from .gf2 import (
     AffineMap,
@@ -93,9 +93,6 @@ class Permutation:
         n = M.width
         return cls(tuple(M.mul_vec(y) for y in range(1 << n)), n)
 
-    def __call__(self, y: int) -> int:
-        return self.table[y]
-
 
 @dataclass(frozen=True)
 class MMFunction:
@@ -117,20 +114,6 @@ class MMFunction:
         pi = Permutation.random(n, rng)
         phi = TruthTable(n, rng.getrandbits(1 << n))
         return cls(pi, phi)
-
-
-@lru_cache(maxsize=None)
-def _ip_blocks(n: int) -> tuple[int, ...]:
-    """Block patterns: bit x of block[p] is <x, p>."""
-    size = 1 << n
-    out = []
-    for p in range(size):
-        v = 0
-        for x in range(size):
-            if dot(x, p):
-                v |= 1 << x
-        out.append(v)
-    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -557,15 +540,21 @@ def coincidence_parents(
 def _series_equations(
     g: MMFunction, basis: tuple[int, ...]
 ) -> Optional[tuple[LinearSubspace, list[int], list[int]]]:
-    """The linear system for H on the linear L = span(basis), an rref basis.
+    """The linear system for H on the linear L = span(basis), an rref basis
+    whose rows are pairwise adjacent in m_count's graph: D_u D_v pi = 0 for
+    every two rows u, v.
 
-    None unless pi is affine on every coset a + L with one image direction
-    W.  Otherwise (W, rows, rhs): a linear H: L -> Z2^k, coded with
+    That precondition makes pi affine on every coset a + L: on a + L, pi is
+    t -> pi(a + sum t_i basis[i]), and an ANF coefficient of degree >= 2 of
+    it is nonzero only if some D_(basis[i]) D_(basis[j]) pi, i < j, is
+    nonzero there.  So only the image direction is tested: None unless the
+    image differences pi(a ^ p) ^ pi(a) of every coset form the same set W.
+    Otherwise (W, rows, rhs): a linear H: L -> Z2^k, coded with
     h_i = H(basis[i]) in bits ik..ik+k-1, makes f affine on every coset of
-    U = (L, W, H) iff <H, row> = rhs for every row.  On the
-    coset a + L, H acts as t -> H(t), which is 0 at the anchor a and h_i at
-    a ^ basis[i]; so the rows are every coset's _flat_equations with the
-    anchor's k bits dropped.
+    U = (L, W, H) iff <H, row> = rhs for every row.  On the coset a + L, H
+    acts as t -> H(t), which is 0 at the anchor a and h_i at a ^ basis[i];
+    so the rows are every coset's _flat_equations with the anchor's k bits
+    dropped.
     """
     k = len(basis)
     table = g.pi.table
@@ -573,21 +562,10 @@ def _series_equations(
     for v in basis:
         span += [p ^ v for p in span]
     reps = coset_representatives(basis, g.n)
-    direction: Optional[set[int]] = None
-    for a in reps:
-        img = [table[a ^ p] for p in span]
-        diffs = [img[1 << i] ^ img[0] for i in range(k)]
-        lin = [img[0]]
-        for d in diffs:
-            lin += [x ^ d for x in lin]
-        if lin != img:
-            return None
-        image = {x ^ img[0] for x in img}
-        if direction is None:
-            direction, first = image, diffs
-        elif image != direction:
-            return None
-    W = LinearSubspace.from_vectors(first, g.n)
+    image = {table[p] ^ table[0] for p in span}  # reps[0] = 0: the coset L itself
+    if any({table[a ^ p] ^ table[a] for p in span} != image for a in reps[1:]):
+        return None
+    W = LinearSubspace.from_vectors([table[v] ^ table[0] for v in basis], g.n)
     I = W.pivots
     rows: list[int] = []
     rhs: list[int] = []
@@ -605,10 +583,13 @@ def m_count(g: MMFunction) -> int:
     line L = {0, u} has no equation, so it counts its two linear H exactly
     when D_u pi is constant (one image direction on every coset), read from
     the derivative table; every L of dim >= 2 counts its number of linear H
-    solving _series_equations.  Pi is affine on the cosets of L only if
-    D_u D_v pi = 0 for all u, v in L, so every basis of a candidate L is a
-    clique of the graph u ~ v iff D_u D_v pi = 0; the candidates are grown
-    as rref bases, last row first, over that graph.
+    solving _series_equations.  Pi is affine on the cosets of L iff
+    D_u D_v pi = 0 for every two rows u, v of a basis of L: read in the
+    basis coordinates t, pi on a coset a + L has an ANF monomial containing
+    t_i t_j exactly when D_(u_i) D_(u_j) pi is nonzero on that coset.  So the
+    candidates are exactly the cliques of the graph u ~ v iff D_u D_v pi = 0,
+    grown as rref bases, last row first, and _series_equations, which gets
+    only cliques, tests the image direction alone.
     """
     n = g.n
     x = np.arange(1 << n)

@@ -5,8 +5,8 @@ and boolfun primitives plus the coset scan of kernels; the criterion
 machinery in mmf is the thing being checked, never part of the check
 itself.  The brute references (near_brute, m_subspaces, _parent_scan,
 _confirm_parent, _count_mf_intersection_6, verify_sum_pi, verify_sum_phiH)
-name of mmf only the definitional MMFunction, Permutation, build_mmf and
-_ip_blocks; len(m_subspaces(f)) is the reference for mmf.m_count.  The
+name of mmf only the definitional MMFunction, Permutation and build_mmf;
+len(m_subspaces(f)) is the reference for mmf.m_count.  The
 exceptions are explicitly statistical: m_census and sample_near_average
 count seeded samples with mmf.m_count and mmf.near_count, through the one
 loop _sample, to test the closed formulas.  Randomized runs are
@@ -32,11 +32,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import counting, kernels
-from .boolfun import TruthTable, bent_rows, is_affine_on
+from .boolfun import TruthTable, _ip_blocks, bent_rows, is_affine_on
 from .boolfun import is_bent  # noqa: F401  kept resolvable: bench/tracing.py wraps oracle.is_bent
 from .gf2 import (
     AffineMap,
     AffineSubspace,
+    Gf2Matrix,
     LinearSubspace,
     affine_hull_or_none,
     coset_representatives,
@@ -45,13 +46,13 @@ from .gf2 import (
     linear_subspace_bases,
     orthogonal,
     project_bits,
+    random_invertible,
     rref_rows,
 )
 from .kernels import affine_lut, scan_arrays
 from .mmf import (
     MMFunction,
     Permutation,
-    _ip_blocks,
     build_mmf,
     coincidence_parents,
     compose_subspace,
@@ -582,31 +583,20 @@ def construct_two_series(n: int, rng) -> tuple[MMFunction, AffineSubspace]:
         h_vals[v] = rng.getrandbits(width)
     L_aff = AffineSubspace(0, L)
     H = AffineMap.from_values(L_aff, h_vals, width)
-    r_orth = orthogonal(R)
-    U = compose_subspace(L_aff, r_orth, H)
-    I = r_orth.pivots
+    W = orthogonal(R)
+    U = compose_subspace(L_aff, W, H)
+    I = W.pivots
     l_reps = coset_representatives(L.basis, n)
-    t_reps = coset_representatives(r_orth.basis, n)
+    t_reps = coset_representatives(W.basis, n)
     rng.shuffle(t_reps)
     table = [0] * (1 << n)
     lpts = L.points()
+    span_w = Gf2Matrix(W.basis, n)  # coordinates in W's basis -> points of W
     for a, tgt in zip(l_reps, t_reps):
-        # random linear bijection between the direction spaces
-        while True:
-            coeff = [rng.getrandbits(width) for _ in range(width)]
-            if len(rref_rows(coeff, width)[0]) == width:
-                break
+        M = random_invertible(width, rng)  # a linear bijection L -> W in coordinates
         for p in lpts:
             # coordinates of p in the rref basis are its pivot bits
-            y = 0
-            for i, row in enumerate(L.basis):
-                if (p >> ((row & -row).bit_length() - 1)) & 1:
-                    y ^= coeff[i]
-            img = tgt
-            for j, row in enumerate(r_orth.basis):
-                if (y >> j) & 1:
-                    img ^= row
-            table[a ^ p] = img
+            table[a ^ p] = tgt ^ span_w.mul_vec(M.mul_vec(project_bits(p, L.pivots)))
     pi = Permutation(tuple(table), n)
 
     phi_bits = 0

@@ -180,6 +180,14 @@ def test_near_hex_input(capsys):
     assert json.loads(out)["count"] == 60  # neighbors of a bent neighbor
 
 
+@pytest.mark.parametrize("hex_input", ["+356", "f_f0"])
+def test_near_hex_rejects_non_hex_digits(capsys, hex_input):
+    rc = cli.main(["near", "--hex", hex_input, "--two-n", "4", "--mode", "count"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert "not a string of hex digits" in captured.err
+
+
 def test_near_rejects_non_bijection(capsys):
     rc = cli.main(["near", "--pi", "[0,0,1,2]", "--phi", "0000"])
     assert rc == 2
@@ -274,8 +282,10 @@ def test_sample_near_average(capsys):
 
 
 def test_sample_zero_trials_usage_error(capsys):
-    rc = cli.main(["sample", "--kind", "m-size", "--two-n", "6", "--trials", "0", "--seed", "1"])
-    assert rc == 2
+    for kind, two_n in (("m-size", "6"), ("near-average", "8")):
+        rc = cli.main(["sample", "--kind", kind, "--two-n", two_n, "--trials", "0", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and "trials must be at least 1, got 0" in captured.err
 
 
 def test_out_dir_env(tmp_path, monkeypatch, capsys):

@@ -123,6 +123,16 @@ def test_orthogonal_examples():
     assert 0b011 in expected  # (1, 1, 0)
 
 
+def test_orthogonal_is_its_definition_for_n_up_to_5():
+    # {y : <x, y> = 0 for all x in L}, by scanning every y, for every subspace
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for L in enumerate_subspaces(n, k):
+                pts = L.points()
+                expected = {y for y in range(1 << n) if not any((x & y).bit_count() & 1 for x in pts)}
+                assert set(orthogonal(L).points()) == expected
+
+
 
 
 @st.composite

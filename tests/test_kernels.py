@@ -17,6 +17,7 @@ from mfnear.gf2 import (
     AffineSubspace,
     LinearSubspace,
     coset_representatives,
+    dot,
     enumerate_subspaces,
     linear_subspace_bases,
 )
@@ -109,6 +110,16 @@ def test_scan_array_shapes():
     assert lut.sum() == 16  # 2^(k+1) affine patterns
     with pytest.raises(ValueError):
         affine_lut(5)
+
+
+def test_affine_pattern_census():
+    # the ones of affine_lut(k) are the 2^(k+1) truth tables of
+    # x -> <a, x> xor c on k variables, built here from dot
+    for k in range(kernels.MAX_LUT_K + 1):
+        size = 1 << k
+        affine = {sum((dot(a, x) ^ c) << x for x in range(size)) for a in range(size) for c in (0, 1)}
+        assert len(affine) == 2 * size
+        assert set(np.flatnonzero(affine_lut(k)).tolist()) == affine
 
 
 @pytest.mark.parametrize("m,k,sample", [(4, 2, None), (6, 3, None), (8, 4, 400)])

@@ -432,6 +432,16 @@ def test_m_count_identity_pi_at_2n8():
     assert m_count(g) == len(oracle.m_subspaces(build_mmf(g))) == 2295
 
 
+@pytest.mark.parametrize("n, trials", [(3, 12), (4, 4)])
+def test_m_count_equals_scan_on_linear_pi(n, trials):
+    # a linear pi is affine on every coset of every L with one image
+    # direction, so every basis is a clique and the stacked system decides
+    rng = random.Random(71 + n)
+    for _ in range(trials):
+        g = MMFunction(Permutation.from_linear(random_invertible(n, rng)), TruthTable(n, rng.getrandbits(1 << n)))
+        assert m_count(g) == len(oracle.m_subspaces(build_mmf(g)))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_m_count_degree3_phi_equals_scan(n):
     # phi = y1 y2 y3 has degree 3 on every coset of the L that contain e1, e2, e3
@@ -460,7 +470,7 @@ def test_m_count_dim1_closed_form_is_the_general_system(n):
             eq = _series_equations(g, (u,))
             sol = None if eq is None else solve_linear(*eq[1:], 1)
             general = 0 if sol is None else 1 << len(sol[1])
-            constant = len({pi(y ^ u) ^ pi(y) for y in range(size)}) == 1
+            constant = len({pi.table[y ^ u] ^ pi.table[y] for y in range(size)}) == 1
             assert general == 2 * constant
             seen.add(constant)
     assert True in seen and (n == 2 or False in seen)  # every permutation of Z2^2 is affine

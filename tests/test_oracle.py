@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfnear import counting, kernels, oracle
-from mfnear.boolfun import TruthTable, is_bent
+from mfnear.boolfun import TruthTable, _ip_blocks, is_bent
 from mfnear.gf2 import AffineSubspace, LinearSubspace, linear_subspace_bases
 from mfnear.mmf import MMFunction, build_mmf, m_count, near_enumerate, near_tables, realize_near
 from reference import row_tables, xor_indicator
@@ -129,8 +129,6 @@ def test_near_mf_census_both_modes():
 
 def test_mf6_census_by_dedup():
     # count distinct truth tables over all (pi, phi) at n = 3
-    from mfnear.mmf import _ip_blocks
-
     blocks = _ip_blocks(3)
     phi_masks = np.array(
         [
