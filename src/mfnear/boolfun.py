@@ -66,10 +66,6 @@ class TruthTable:
         return cls(m, bits)
 
     @classmethod
-    def zero(cls, m: int) -> "TruthTable":
-        return cls(m, 0)
-
-    @classmethod
     def from_hex(cls, s: str, m: int) -> "TruthTable":
         digits = (1 << m) // 4 if m >= 2 else 1
         s = s.strip().lower()

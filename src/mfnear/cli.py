@@ -6,7 +6,8 @@ suites, exit 1 on failure), sample (seeded Monte Carlo estimates).
 Output is deterministic for fixed (command, parameters, seed); JSON embeds
 the schema version, the seed and the work counters.  Exit codes: 0 ok
 (also when the reader closes stdout early), 1 a verification failed,
-2 bad usage (with a message), 3 internal error (one line on stderr).
+2 bad usage or output that cannot be written (with a message), 3
+internal error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -52,18 +53,26 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to --out, or to stdout ending in a newline, and flush it.
+
+    A failed open, write or close (a full disk) raises ValueError, so main
+    exits 2; a closed stdout pipe stays a BrokenPipeError, a normal end."""
     target = _resolve_out(out)
     if target:
         try:
-            fh = open(target, "w")
+            with open(target, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {target}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _stdout_to_devnull()
+        raise ValueError(f"cannot write output: {exc.strerror}") from exc
 
 
 def _reports_text(reports, fmt: str) -> str:
@@ -84,13 +93,16 @@ def _reports_text(reports, fmt: str) -> str:
 
 
 def _parse_two_n_range(spec: str) -> list[int]:
-    bad = ValueError(f"--two-n {spec}: need even values in 2..24, low <= high")
+    bad = ValueError(
+        f"--two-n {spec}: need even values in 2..20, low <= high"
+        " (exact values above 2n = 20 pass Python's int-to-str digit limit)"
+    )
     lo, dots, hi = spec.partition("..")
     try:
         lo_i, hi_i = int(lo), int(hi if dots else lo)
     except ValueError:
         raise bad from None
-    if lo_i < 2 or hi_i > 24 or lo_i % 2 or hi_i % 2 or lo_i > hi_i:
+    if lo_i < 2 or hi_i > 20 or lo_i % 2 or hi_i % 2 or lo_i > hi_i:
         raise bad
     return list(range(lo_i, hi_i + 1, 2))
 
@@ -133,20 +145,14 @@ def _parse_function(args) -> tuple[Optional[MMFunction], TruthTable]:
 
 def cmd_near(args) -> int:
     if args.parents is not None and (args.brute or args.mode == "count"):
-        print("--parents needs --mode list or realize, without --brute", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--parents needs --mode list or realize, without --brute")
     if args.brute and args.mode == "list":
-        print("--brute gives --mode count or realize; it finds no witnesses to list", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--brute gives --mode count or realize; it finds no witnesses to list")
     g, f = _parse_function(args)
     result: dict = {"schema": SCHEMA, "two_n": f.m}
     if args.brute:
-        if f.m > 8:
-            print("brute scan supports 2n <= 8", file=sys.stderr)
-            return EXIT_USAGE
         if not is_bent(f):
-            print("input is not bent", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("input is not bent")
         neighbors = sorted(hex_rows(oracle.near_brute(f), f.m))
         result["mode"] = "brute"
         result["count"] = len(neighbors)
@@ -155,8 +161,7 @@ def cmd_near(args) -> int:
         _emit(json.dumps(result, indent=2), args.out)
         return EXIT_OK
     if g is None:
-        print("input is not a Maiorana-McFarland function; use --brute", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("input is not a Maiorana-McFarland function; use --brute")
     if args.mode == "count":
         result["count"] = near_count(g)
     elif args.mode == "realize":
@@ -180,12 +185,10 @@ def cmd_near(args) -> int:
             ]
         if args.parents is not None:
             if not 0 <= args.parents < len(witnesses):
-                print(f"--parents must be a witness index in 0..{len(witnesses) - 1}", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"--parents must be a witness index in 0..{len(witnesses) - 1}")
             w = witnesses[args.parents]
             if w.L.dim != 2:
-                print("--parents needs a dim-2 witness index", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("--parents needs a dim-2 witness index")
             result["parents"] = [
                 {
                     "pi": list(p.table),
@@ -216,8 +219,7 @@ _SUITES: dict[str, Callable[[int, int], list[oracle.VerificationOutcome]]] = {
 
 def cmd_verify(args) -> int:
     if args.trials <= 0:  # checked here: sums and census ignore --trials
-        print("trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("trials must be positive")
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     outcomes = [o for s in suites for o in _SUITES[s](args.seed, args.trials)]
     payload = {
@@ -307,7 +309,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.seed = random.SystemRandom().getrandbits(64)
     try:
         rc = args.func(args)
-        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (`| head`): a normal end of output
         _stdout_to_devnull()

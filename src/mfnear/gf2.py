@@ -221,9 +221,6 @@ class AffineMap:
     def evaluate(self, x: int) -> int:
         return self.matrix.mul_vec(x) ^ self.constant
 
-    def __call__(self, x: int) -> int:
-        return self.evaluate(x)
-
     @classmethod
     def from_values(cls, domain: AffineSubspace, values: dict[int, int], width: int) -> "AffineMap":
         """Affine extension of values given at base and base^v for basis v.
@@ -273,7 +270,8 @@ def linear_subspace_bases(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     The order is by pivot columns (itertools.combinations order), then by
     the row tuple read from the last row to the first, so row 0's free bits
     vary fastest.  The rows of kernels.scan_arrays follow this order, and
-    oracle.m_subspaces and oracle.verify_beta index into it.
+    oracle.m_subspaces indexes into it; oracle.verify_beta relies on it only
+    as the start of its seeded shuffle.
     """
     if not 0 <= k <= n <= MAX_ENUM_AMBIENT:
         raise ValueError(f"need 0 <= k <= n <= {MAX_ENUM_AMBIENT}")

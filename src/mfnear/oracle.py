@@ -4,9 +4,11 @@ The verifiers recompute every claim from definitions, using only the gf2
 and boolfun primitives plus the coset scan of kernels; the criterion
 machinery in mmf is the thing being checked, never part of the check
 itself.  The brute references (near_brute, m_subspaces, _parent_scan,
-_confirm_parent, _count_mf_intersection_6, verify_sum_pi, verify_sum_phiH)
-name of mmf only the definitional MMFunction, Permutation and build_mmf;
-len(m_subspaces(f)) is the reference for mmf.m_count.  The
+_confirm_parent, _count_mf_intersection, _permutations, verify_sum_pi,
+verify_sum_phiH) name of mmf only the definitional MMFunction, Permutation
+and build_mmf; len(m_subspaces(f)) is the reference for mmf.m_count, and
+_count_mf_intersection(U), one sweep of the whole (pi, phi) grid at 2n = 4
+or 6, is the reference for |MF intersect MF_U| in verify_beta.  The
 exceptions are explicitly statistical: m_census and sample_near_average
 count seeded samples with mmf.m_count and mmf.near_count, through the one
 loop _sample, to test the closed formulas.  Randomized runs are
@@ -26,6 +28,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import sqrt
 from typing import Callable, Optional
 
@@ -47,7 +50,6 @@ from .gf2 import (
     orthogonal,
     project_bits,
     random_invertible,
-    rref_rows,
 )
 from .kernels import affine_lut, scan_arrays
 from .mmf import (
@@ -182,13 +184,22 @@ def verify_near_equality(trials: int, seed: int) -> VerificationOutcome:
 # permutation sums
 
 
+@lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    """All (2^n)! permutations of Z2^n, one read-only uint8 row each, in
+    itertools.permutations order."""
+    if not 1 <= n <= 3:
+        raise ValueError("full permutation sweep needs n <= 3")
+    perms = np.array(list(itertools.permutations(range(1 << n))), dtype=np.uint8)
+    perms.flags.writeable = False
+    return perms
+
+
 def verify_sum_pi(n: int, k: int) -> VerificationOutcome:
     """Sum of |A_k(pi)| over every permutation equals 2^n! sigma(n, k)."""
     t0 = time.perf_counter()
-    if not 1 <= n <= 3:
-        raise ValueError("full permutation sweep needs n <= 3")
+    perms = _permutations(n)
     size = 1 << n
-    perms = np.array(list(itertools.permutations(range(size))), dtype=np.uint8)
     total = 0
     n_sub = 0
     for U in enumerate_subspaces(n, k, affine=True):
@@ -198,16 +209,9 @@ def verify_sum_pi(n: int, k: int) -> VerificationOutcome:
             # maps onto itself
             total += perms.shape[0]
             continue
-        pts = np.array(U.points(), dtype=np.intp)
-        imgs = perms[:, pts]
-        if U.dim == 2:
-            x = imgs[:, 0] ^ imgs[:, 1] ^ imgs[:, 2] ^ imgs[:, 3]
-            total += int((x == 0).sum())
-        else:
-            diffs = imgs[:, 1:] ^ imgs[:, :1]
-            total += sum(
-                1 for row in diffs if len(rref_rows(map(int, row), n)[0]) == U.dim
-            )
+        # n <= 3 leaves dim 2 < n: four points are a flat iff they XOR to 0
+        imgs = perms[:, U.points()]
+        total += int((np.bitwise_xor.reduce(imgs, axis=1) == 0).sum())
     expected = counting.sigma(n, k) * math.factorial(size)
     if expected.denominator != 1:
         raise AssertionError("expected permutation sum is not integral")
@@ -226,21 +230,20 @@ def verify_sum_phiH(k: int, seed: int = 1) -> VerificationOutcome:
     """Sum over restrictions phi|_L of the number of valid affine H.
 
     Enumerates all 2^(2^k) restrictions and all 2^(k(k+1)) affine H for a
-    random invertible map sigma: L -> Z2^k, testing the composite by its
-    restriction pattern; the full-domain factor 2^(2^n - 2^k) is exact
-    because the condition only reads phi on L.
+    seeded random bijection sigma from the 2^k points of a k-flat L of
+    Z2^(k+1) to Z2^k, testing the composite by its restriction pattern.
+    The pattern reads a point of L only by its index eps, so L itself is
+    never drawn, and the total is 2^((k+1)^2) for every sigma; the
+    full-domain factor 2^(2^n - 2^k) is exact because the condition only
+    reads phi on L.
     """
     t0 = time.perf_counter()
     if k not in (1, 2, 3):
         raise ValueError("exhaustive phi/H sweep supports k in 1..3")
-    rng = random.Random(seed)
     n = k + 1
-    candidates = list(enumerate_subspaces(n, k, affine=True))
-    L = candidates[rng.randrange(len(candidates))]
-    pts = L.points()
-    size = len(pts)
+    size = 1 << k
     sigma_vals = list(range(size))
-    rng.shuffle(sigma_vals)  # invertible sigma: pts[eps] -> sigma_vals[eps]
+    random.Random(seed).shuffle(sigma_vals)  # sigma: point eps of L -> sigma_vals[eps]
 
     lut = affine_lut(k)
     n_h = 1 << (k * (k + 1))
@@ -660,101 +663,71 @@ def _dim_x_intersection(U: LinearSubspace, n: int) -> int:
 def verify_beta(two_n: int, seed: int = 1, subspace_samples: int = 20) -> VerificationOutcome:
     """Brute per-subspace intersection counts against the closed formulas.
 
-    At 2n = 4 the census is complete over all 34 non-trivial subspaces and
-    must sum to 5376; at 2n = 6 sampled subspaces are counted by a staged
-    full sweep over all 10321920 (pi, phi) pairs.
+    Every n-dim linear U other than the x-side one is counted by
+    _count_mf_intersection, a staged sweep over all (2^n)! 2^(2^n) pairs
+    (pi, phi), and must equal mf_mfu_intersection(n, dim(U cap x-side)).
+    At 2n = 4 all 34 such U are counted and their total must also equal
+    beta(4) = 5376; at 2n = 6 `subspace_samples` of them are, in a seeded
+    shuffle of the canonical order.
     """
     _at_least_one("subspace_samples", subspace_samples)
     t0 = time.perf_counter()
-    if two_n == 4:
-        n = 2
-        x_basis = (1, 2)
-        bases = linear_subspace_bases(4, 2)
-        spans, reps = scan_arrays(4, 2)
-        tables = [build_mmf(g) for g in all_mf_functions()]
-        counts = sum(kernels.coset_affine_all(f.to_u8(), spans, reps).astype(np.int64) for f in tables)
-        rows = [i for i, basis in enumerate(bases) if basis != x_basis]
-        strata = {0: [], 1: []}
-        for i in rows:
-            strata[_dim_x_intersection(LinearSubspace(bases[i], 4), n)].append(int(counts[i]))
-        total = sum(map(sum, strata.values()))
-        expected = counting.beta(4)
-        per_k = {
-            k: (len(v), set(v)) for k, v in strata.items()
-        }
-        ok = (
-            total == expected
-            and per_k[0] == (16, {counting.mf_mfu_intersection(2, 0)})
-            and per_k[1] == (18, {counting.mf_mfu_intersection(2, 1)})
-        )
-        return _timed(
-            "beta(4) full intersection census",
-            ok,
-            {
-                "subspaces": len(rows),
-                "functions": len(tables),
-                "total": total,
-                "expected": expected,
-            },
-            None if ok else f"total {total}, strata {per_k}",
-            t0,
-        )
+    if two_n not in (4, 6):
+        raise ValueError("beta verification supports 2n in {4, 6}")
+    n = two_n // 2
+    x_basis = tuple(1 << i for i in range(n))
+    bases = [b for b in linear_subspace_bases(two_n, n) if b != x_basis]
     if two_n == 6:
-        rng = random.Random(seed)
-        bases = [b for b in linear_subspace_bases(6, 3) if b != (1, 2, 4)]
-        rng.shuffle(bases)
-        picked = bases[:subspace_samples]
-        checked = 0
-        for basis in picked:
-            U = LinearSubspace(basis, 6)
-            k = _dim_x_intersection(U, 3)
-            cnt = _count_mf_intersection_6(U)
-            if cnt != counting.mf_mfu_intersection(3, k):
-                return _timed(
-                    "sampled MF_6 intersection counts",
-                    False,
-                    {"subspaces": checked},
-                    f"basis {basis}: count {cnt} != formula {counting.mf_mfu_intersection(3, k)}",
-                    t0,
-                )
-            checked += 1
-        return _timed(
-            "sampled MF_6 intersection counts",
-            True,
-            {"subspaces": checked, "pairs_per_subspace": 10321920},
-            None,
-            t0,
-        )
-    raise ValueError("beta verification supports 2n in {4, 6}")
+        random.Random(seed).shuffle(bases)
+        bases = bases[:subspace_samples]
+    label = "beta(4) full intersection census" if two_n == 4 else "sampled MF_6 intersection counts"
+    total = 0
+    for checked, basis in enumerate(bases):
+        U = LinearSubspace(basis, two_n)
+        cnt = _count_mf_intersection(U)
+        want = counting.mf_mfu_intersection(n, _dim_x_intersection(U, n))
+        if cnt != want:
+            return _timed(
+                label, False, {"subspaces": checked}, f"basis {basis}: count {cnt} != formula {want}", t0
+            )
+        total += cnt
+    grid = len(_permutations(n)) << (1 << n)
+    if two_n == 6:
+        return _timed(label, True, {"subspaces": len(bases), "pairs_per_subspace": grid}, None, t0)
+    expected = counting.beta(4)
+    ok = total == expected
+    return _timed(
+        label,
+        ok,
+        {"subspaces": len(bases), "functions": grid, "total": total, "expected": expected},
+        None if ok else f"total {total} != beta(4) {expected}",
+        t0,
+    )
 
 
-def _count_mf_intersection_6(U: LinearSubspace) -> int:
-    """|MF_6 intersect MF_U| by staged sweep over all (pi, phi) pairs.
+def _count_mf_intersection(U: LinearSubspace) -> int:
+    """|MF_2n intersect MF_U| for an n-dim U of Z2^(2n), n = U.ambient // 2
+    <= 3, by staged sweep over all (pi, phi) pairs.
 
     For each coset of U the affinity pattern of f splits into a pi part and
-    a phi part that is linear in phi, so the whole 40320 x 256 grid can be
-    filtered coset by coset.
+    a phi part that is linear in phi, so the whole (2^n)! x 2^(2^n) grid can
+    be filtered coset by coset.
     """
-    n = 3
+    n = U.ambient // 2
     size = 1 << n
-    perms = np.array(list(itertools.permutations(range(size))), dtype=np.uint8)
-    ipx = np.zeros((size, size), dtype=np.uint8)
-    for x in range(size):
-        for p in range(size):
-            ipx[x, p] = dot(x, p)
+    perms = _permutations(n)
+    blocks = np.array(_ip_blocks(n), dtype=np.uint32)  # bit x of blocks[p] is <x, p>
     lut = affine_lut(n)
     phis = np.arange(1 << size, dtype=np.uint32)
     span = U.points()
     alive = None
-    for rep in coset_representatives(U.basis, 6):
-        pts = [rep ^ s for s in span]
-        xs = [p & (size - 1) for p in pts]
-        ys = [p >> n for p in pts]
+    for rep in coset_representatives(U.basis, U.ambient):
         b = np.zeros(perms.shape[0], dtype=np.uint32)
         sel = np.zeros(phis.shape[0], dtype=np.uint32)
-        for i in range(size):
-            b |= ipx[xs[i], perms[:, ys[i]]].astype(np.uint32) << i
-            sel |= ((phis >> ys[i]) & 1) << i
+        for i, s in enumerate(span):
+            x, y = (rep ^ s) & (size - 1), (rep ^ s) >> n
+            b |= ((blocks[perms[:, y]] >> x) & 1) << i
+            sel |= ((phis >> y) & 1) << i
         ok = lut[b[:, None] ^ sel[None, :]].astype(bool)
         alive = ok if alive is None else (alive & ok)
         if not alive.any():

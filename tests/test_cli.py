@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mfnear import cli, mmf, oracle
+from mfnear.boolfun import TruthTable
 from mfnear.gf2 import AffineMap, Gf2Matrix
 
 
@@ -161,6 +162,51 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+
+
+@needs_dev_full
+def test_full_disk_on_out_is_a_usage_error(capsys):
+    rc = cli.main(["table", "1", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "cannot write --out /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+def test_full_disk_on_stdout_is_a_usage_error(capsys, monkeypatch):
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        rc = cli.main(["table", "1"])
+        monkeypatch.undo()
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "cannot write output: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("redirect", ["--out", "stdout"])
+def test_full_disk_exits_2_in_a_process(redirect):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "mfnear.cli", "table", "1"]
+    with open("/dev/full", "w") as full:
+        if redirect == "--out":
+            proc = subprocess.run([*argv, "--out", "/dev/full"], capture_output=True, env=env, timeout=60)
+        else:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    want = "cannot write --out /dev/full" if redirect == "--out" else "cannot write output"
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr.decode() == want + ": No space left on device\n"
+
+
+def test_near_brute_above_2n_8_is_a_usage_error(capsys):
+    f = mmf.build_mmf(mmf.MMFunction(mmf.Permutation.identity(5), TruthTable(5, 0)))
+    rc = cli.main(["near", "--hex", f.to_hex(), "--two-n", "10", "--brute"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err == "brute scan supports even m <= 8\n"
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(f):
         raise AssertionError("scan produced a non-bent neighbor")
@@ -264,11 +310,11 @@ def test_verify_non_positive_trials_usage_error(capsys, trials):
     assert captured.out == "" and "trials must be positive" in captured.err
 
 
-@pytest.mark.parametrize("spec", ["7", "26", "8..4", "0", "x", "4..x", ".."])
+@pytest.mark.parametrize("spec", ["7", "26", "8..4", "0", "x", "4..x", "..", "22", "24", "20..24"])
 def test_formulas_bad_two_n_says_why(capsys, spec):
     rc = cli.main(["formulas", "--two-n", spec])
     assert rc == cli.EXIT_USAGE
-    assert f"--two-n {spec}: need even values in 2..24" in capsys.readouterr().err
+    assert f"--two-n {spec}: need even values in 2..20" in capsys.readouterr().err
 
 
 def test_sample_near_average(capsys):

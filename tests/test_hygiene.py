@@ -55,7 +55,8 @@ BRUTE_REFERENCES = (
     "m_subspaces",
     "_parent_scan",
     "_confirm_parent",
-    "_count_mf_intersection_6",
+    "_count_mf_intersection",
+    "_permutations",
     "verify_sum_pi",
     "verify_sum_phiH",
 )

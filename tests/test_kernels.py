@@ -125,8 +125,8 @@ def test_affine_pattern_census():
 @pytest.mark.parametrize("m,k,sample", [(4, 2, None), (6, 3, None), (8, 4, 400)])
 def test_scan_array_rows_follow_the_enumeration(m, k, sample):
     """Row i is the i-th subspace of enumerate_subspaces: its span points in
-    points() order and its canonical coset representatives.  m_subspaces and
-    verify_beta read subspaces off row indices by this order."""
+    points() order and its canonical coset representatives.  m_subspaces
+    reads subspaces off row indices by this order."""
     spans, reps = scan_arrays(m, k)
     bases = linear_subspace_bases(m, k)
     assert list(bases) == [U.basis for U in enumerate_subspaces(m, k)]

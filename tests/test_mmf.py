@@ -56,7 +56,7 @@ def all_mf4():
 
 
 def test_build_smallest():
-    g = MMFunction(Permutation.identity(1), TruthTable.zero(1))
+    g = MMFunction(Permutation.identity(1), TruthTable(1, 0))
     f = build_mmf(g)
     assert f.bits == 0b1000  # f(x, y) = xy
     assert is_bent(f)
@@ -224,7 +224,7 @@ def brute_h_count(g, L):
 
 
 def test_h_solution_dim3_matches_brute():
-    g = MMFunction(Permutation.identity(3), TruthTable.zero(3))
+    g = MMFunction(Permutation.identity(3), TruthTable(3, 0))
     L = AffineSubspace(0, LinearSubspace.full(3))
     space = h_solution_space(g, L)
     brute = brute_h_count(g, L)
@@ -428,7 +428,7 @@ def test_m_count_equals_scan_on_samples(n, trials):
 
 
 def test_m_count_identity_pi_at_2n8():
-    g = MMFunction(Permutation.identity(4), TruthTable.zero(4))
+    g = MMFunction(Permutation.identity(4), TruthTable(4, 0))
     assert m_count(g) == len(oracle.m_subspaces(build_mmf(g))) == 2295
 
 

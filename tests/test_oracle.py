@@ -90,7 +90,7 @@ def test_verify_near_equality_reports_disagreement(monkeypatch):
 
 def test_near_brute_rejects_large():
     with pytest.raises(ValueError):
-        oracle.near_brute(TruthTable.zero(10))
+        oracle.near_brute(TruthTable(10, 0))
 
 
 def test_verify_sum_pi_n2():
@@ -242,10 +242,45 @@ def test_count_mf_intersection_6_strata():
         if k in seen:
             continue
         seen.add(k)
-        assert oracle._count_mf_intersection_6(U) == counting.mf_mfu_intersection(3, k)
+        assert oracle._count_mf_intersection(U) == counting.mf_mfu_intersection(3, k)
         if seen == {0, 1, 2}:
             break
     assert seen == {0, 1, 2}
+
+
+def test_count_mf_intersection_4_is_the_kernel_census():
+    """At 2n = 4 the sweep counts, for every linear 2-dim U, x-side
+    included, the MF_4 tables the coset kernel flags as affine on U."""
+    spans, reps = oracle.scan_arrays(4, 2)
+    flags = sum(
+        kernels.coset_affine_all(build_mmf(g).to_u8(), spans, reps).astype(np.int64)
+        for g in oracle.all_mf_functions()
+    )
+    bases = linear_subspace_bases(4, 2)
+    assert len(bases) == 35
+    for basis, flagged in zip(bases, flags.tolist()):
+        assert oracle._count_mf_intersection(LinearSubspace(basis, 4)) == flagged, basis
+    assert flags[bases.index((1, 2))] == 384
+
+
+def test_count_mf_intersection_6_x_side_is_all_of_mf():
+    assert oracle._count_mf_intersection(LinearSubspace((1, 2, 4), 6)) == counting.mf_size(3) == 10321920
+
+
+def test_verify_beta_4_fails_on_a_wrong_formula(monkeypatch):
+    right = counting.mf_mfu_intersection
+    monkeypatch.setattr(counting, "mf_mfu_intersection", lambda n, k: right(n, k) + (k == 1))
+    out = oracle.verify_beta(4)
+    assert not out.passed
+    assert "!= formula " + str(right(2, 1) + 1) in out.witness
+
+
+def test_permutation_table_is_built_once_and_read_only():
+    perms = oracle._permutations(3)
+    assert perms is oracle._permutations(3) and perms.shape == (40320, 8)
+    assert not perms.flags.writeable
+    with pytest.raises(ValueError, match="n <= 3"):
+        oracle._permutations(4)
 
 
 def test_outcome_witness_enforced():
