@@ -1,9 +1,9 @@
 """Brute-force and Monte Carlo verifiers.
 
 The verifiers recompute every claim from definitions, using only the gf2
-and boolfun primitives plus the coset scan of kernels; the criterion
-machinery in mmf is the thing being checked, never part of the check
-itself.  The brute references (near_brute, m_subspaces, _parent_scan,
+and boolfun primitives plus the coset scan of kernels (its hit list in
+near_brute, its dense flags in m_subspaces); the criterion machinery in mmf
+is the thing being checked, never part of the check itself.  The brute references (near_brute, m_subspaces, _parent_scan,
 _confirm_parent, _count_mf_intersection, _permutations, verify_sum_pi,
 verify_sum_phiH) name of mmf only the definitional MMFunction, Permutation
 and build_mmf; len(m_subspaces(f)) is the reference for mmf.m_count, and
@@ -127,21 +127,22 @@ def _timed(label: str, passed: bool, work: dict, witness_str: Optional[str], t0:
 def near_brute(f: TruthTable) -> np.ndarray:
     """All bent functions f xor 1_U over every n-dim affine U with f|_U affine.
 
-    Scans all 2^n * gb(2n, n) affine subspaces with the coset kernel.  The
-    truth tables of all hits are then built in one array (f's values per
-    hit, with the hit's coset points flipped) and every one is re-verified
-    bent by a single batched Walsh transform; a non-bent neighbour raises
-    AssertionError.  Returns those rows packed, one distinct row per
-    neighbour in scan order, in the form of mmf.near_tables.
+    Scans all 2^n * gb(2n, n) affine subspaces with the coset kernel, whose
+    hit list (kernels.coset_affine_hits: the flat indices of the affine
+    (subspace, coset) cells, ascending) gives each hit's subspace row and
+    coset column by one divmod.  The truth tables of all hits are then
+    built in one array (f's values per hit, with the hit's coset points
+    flipped) and every one is re-verified bent by a single batched Walsh
+    transform; a non-bent neighbour raises AssertionError.  Returns those
+    rows packed, one distinct row per neighbour in scan order, in the form
+    of mmf.near_tables.
     """
     if f.m % 2 or f.m > 8:
         raise ValueError("brute scan supports even m <= 8")
     n = f.m // 2
     spans, reps = scan_arrays(f.m, n)
     fv = f.to_u8()
-    hits = kernels.coset_affine_bits(fv, spans, reps)
-    # the kernel's flags are 0/1, so the bool view is exact and scans fastest
-    sub, coset = np.divmod(np.flatnonzero(hits.view(bool)), hits.shape[1])
+    sub, coset = np.divmod(kernels.coset_affine_hits(fv, spans, reps), reps.shape[1])
     values = np.repeat(fv[None, :], len(sub), axis=0)
     values[np.arange(len(sub))[:, None], reps[sub, coset, None] ^ spans[sub]] ^= 1
     if not bent_rows(values).all():
@@ -711,25 +712,27 @@ def _count_mf_intersection(U: LinearSubspace) -> int:
 
     For each coset of U the affinity pattern of f splits into a pi part and
     a phi part that is linear in phi, so the whole (2^n)! x 2^(2^n) grid can
-    be filtered coset by coset.
+    be filtered coset by coset.  Both parts are 2^n-bit uint8 patterns, and
+    a coset's bool grid is one lookup of them in a table of pattern pairs,
+    so the sweep holds two bool grids (10 MB each at 2n = 6) and no index
+    grid.
     """
     n = U.ambient // 2
     size = 1 << n
     perms = _permutations(n)
-    blocks = np.array(_ip_blocks(n), dtype=np.uint32)  # bit x of blocks[p] is <x, p>
-    lut = affine_lut(n)
-    phis = np.arange(1 << size, dtype=np.uint32)
+    blocks = np.array(_ip_blocks(n), dtype=np.uint8)  # bit x of blocks[p] is <x, p>
+    phis = np.arange(1 << size, dtype=np.uint8)  # also every 2^n-bit pattern
+    pair = affine_lut(n).view(bool)[phis[:, None] ^ phis[None, :]]  # pair[a, b] = lut[a ^ b]
     span = U.points()
-    alive = None
+    alive = np.ones((perms.shape[0], phis.shape[0]), dtype=bool)
     for rep in coset_representatives(U.basis, U.ambient):
-        b = np.zeros(perms.shape[0], dtype=np.uint32)
-        sel = np.zeros(phis.shape[0], dtype=np.uint32)
+        b = np.zeros(perms.shape[0], dtype=np.uint8)
+        sel = np.zeros(phis.shape[0], dtype=np.uint8)
         for i, s in enumerate(span):
             x, y = (rep ^ s) & (size - 1), (rep ^ s) >> n
             b |= ((blocks[perms[:, y]] >> x) & 1) << i
             sel |= ((phis >> y) & 1) << i
-        ok = lut[b[:, None] ^ sel[None, :]].astype(bool)
-        alive = ok if alive is None else (alive & ok)
+        alive &= pair[b[:, None], sel[None, :]]
         if not alive.any():
             return 0
     return int(alive.sum())

@@ -1,7 +1,8 @@
 """The scan arrays against the subspace enumeration, the coset kernel
-against the affinity definition, coset_affine_all against the row reduction
-of coset_affine_bits, the compiled backend against the numpy reference, and
-the build, fallback and bounds checks of the compiled backend."""
+against the affinity definition, coset_affine_bits against the scatter of
+coset_affine_hits and coset_affine_all against its row reduction, the
+compiled backend against the numpy reference, and the build, fallback and
+bounds checks of the compiled backend."""
 
 import functools
 import random
@@ -152,6 +153,30 @@ def test_compiled_equals_numpy(m, k):
             assert got.all(), name
 
 
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(1, 9) for k in range(min(m, kernels.MAX_LUT_K) + 1)])
+def test_hits_are_the_flags_of_the_numpy_reference(monkeypatch, m, k):
+    """coset_affine_hits lists the flat indices of numpy's flags on both
+    backends: every cell for the zero f, few for a random f (most rows have
+    none, so the compiled kernel skips them), and coset_affine_bits is the
+    scatter of the hits."""
+    spans, reps = scan_arrays(m, k)
+    inputs = {"zero": np.zeros(1 << m, dtype=np.uint8),
+              "random": np.random.default_rng(m * 10 + k).integers(0, 2, 1 << m, dtype=np.uint8)}
+    if m % 2 == 0:
+        inputs |= {name: f for name, f in _inputs(m, seed=m * 10 + k).items() if name in ("mf", "quadratic")}
+    for name, f in inputs.items():
+        want = np.flatnonzero(kernels._numpy_bits(f, spans, reps, affine_lut(k)))
+        scatter = np.zeros(reps.shape, dtype=np.uint8)
+        scatter.reshape(-1)[want] = 1
+        if name == "zero":
+            assert want.size == reps.size
+        for lib in (None, kernels._LIB):  # the module's own backend last, for the dense form
+            monkeypatch.setattr(kernels, "_LIB", lib)
+            hits = kernels.coset_affine_hits(f, spans, reps)
+            assert hits.dtype == want.dtype and np.array_equal(hits, want), (name, lib)
+        assert np.array_equal(kernels.coset_affine_bits(f, spans, reps), scatter), name
+
+
 @pytest.mark.parametrize("case", ["no cc", "cc fails", "cache not writable"])
 def test_fallback_reason_and_results(monkeypatch, tmp_path, case):
     spans, reps = scan_arrays(6, 3)
@@ -192,13 +217,15 @@ def test_build_leaves_one_library(tmp_path):
 
 
 @needs_cc
-def test_kernel_source_compiles_without_warnings():
-    run = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # at the build's own flags, so the optimiser's flow warnings run too
+    run = subprocess.run(["cc", *kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-",
+                          "-o", str(tmp_path / "kernel.so")],
                          input=kernels._SOURCE, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
 
 
-@pytest.mark.parametrize("entry", ["coset_affine_bits", "coset_affine_all", "_numpy_bits"])
+@pytest.mark.parametrize("entry", ["coset_affine_hits", "coset_affine_bits", "coset_affine_all", "_numpy_bits"])
 def test_index_outside_f_raises(entry):
     fn = getattr(kernels, entry)
     if entry == "_numpy_bits":
@@ -213,6 +240,23 @@ def test_index_outside_f_raises(entry):
             fn(*args)
 
 
+@pytest.mark.parametrize("where", ["span", "rep"])
+def test_index_outside_f_in_a_skipped_last_row_raises(monkeypatch, where):
+    """The bounds check covers rows with no affine coset, which the compiled
+    kernel skips: a bad point in the last (8, 4) row of a random f raises."""
+    spans, reps = scan_arrays(8, 4)
+    f = _inputs(8, seed=8)["random"]
+    last = spans.shape[0] - 1
+    assert not (kernels.coset_affine_hits(f, spans, reps) // reps.shape[1] == last).any()
+    bad = (spans if where == "span" else reps).copy()
+    bad[last, -1] = f.size
+    args = (f, bad, reps) if where == "span" else (f, spans, bad)
+    for lib in (kernels._LIB, None):
+        monkeypatch.setattr(kernels, "_LIB", lib)
+        with pytest.raises(IndexError):
+            kernels.coset_affine_hits(*args)
+
+
 def test_mismatched_inputs_raise(monkeypatch):
     """Shapes the C code cannot hold raise ValueError on either backend."""
     spans, reps = scan_arrays(6, 3)
@@ -222,7 +266,7 @@ def test_mismatched_inputs_raise(monkeypatch):
            (f, wide, wide_reps), (np.zeros(512, dtype=np.uint8), spans, reps)]
     for lib in (kernels._LIB, None):
         monkeypatch.setattr(kernels, "_LIB", lib)
-        for fn in (kernels.coset_affine_bits, kernels.coset_affine_all):
+        for fn in (kernels.coset_affine_hits, kernels.coset_affine_bits, kernels.coset_affine_all):
             for args in bad:
                 with pytest.raises(ValueError):
                     fn(*args)

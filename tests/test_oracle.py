@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -51,15 +52,14 @@ def test_near_brute_matches_per_hit_reference():
 
 def test_near_brute_raises_on_non_bent_neighbor(monkeypatch):
     f = build_mmf(MMFunction.random(2, random.Random(43)))
-    real = kernels.coset_affine_bits
+    real = kernels.coset_affine_hits
 
     def one_false_hit(fv, spans, reps):
-        out = real(fv, spans, reps).copy()
-        i, j = np.argwhere(out == 0)[0]  # a coset where f is not affine
-        out[i, j] = 1
-        return out
+        hits = real(fv, spans, reps)
+        miss = np.setdiff1d(np.arange(reps.size), hits)[0]  # a coset where f is not affine
+        return np.insert(hits, np.searchsorted(hits, miss), miss)
 
-    monkeypatch.setattr(kernels, "coset_affine_bits", one_false_hit)
+    monkeypatch.setattr(kernels, "coset_affine_hits", one_false_hit)
     with pytest.raises(AssertionError, match="non-bent"):
         oracle.near_brute(f)
 
@@ -264,7 +264,16 @@ def test_count_mf_intersection_4_is_the_kernel_census():
 
 
 def test_count_mf_intersection_6_x_side_is_all_of_mf():
-    assert oracle._count_mf_intersection(LinearSubspace((1, 2, 4), 6)) == counting.mf_size(3) == 10321920
+    # and in bounded memory: one bool grid per coset, not a 40320 x 256
+    # uint32 index grid (41 MB)
+    tracemalloc.start()
+    try:
+        count = oracle._count_mf_intersection(LinearSubspace((1, 2, 4), 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == counting.mf_size(3) == 10321920
+    assert peak < 40_000_000, peak
 
 
 def test_verify_beta_4_fails_on_a_wrong_formula(monkeypatch):
