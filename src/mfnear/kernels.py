@@ -21,9 +21,12 @@ reads its (subspace, coset) pairs off these indices with one divmod.  At
 zeroed grid with the hits scattered into it.  It stays because
 `coset_affine_all`, its row reduction (1 iff f is affine on every coset of
 the subspace, the |M(f)| scan of `oracle.m_subspaces`), and the tests read
-the dense grid, and the benchmark's traced run wraps both names.  The
-wrappers raise ValueError for shapes outside these limits and IndexError
-for an f whose size is not a power of two, before any backend runs.
+the dense grid, and the benchmark's traced run wraps both names.  Before
+any backend runs, the wrappers raise ValueError for shapes outside these
+limits, f values other than 0 and 1 and points that are not integers, and
+IndexError for an f whose size is not a power of two.  A point outside f
+raises IndexError too: before the cast to uint16 if it has another dtype,
+else in the backend.
 
 The two backends find the same cells by two different affinity tests:
 
@@ -32,25 +35,32 @@ The two backends find the same cells by two different affinity tests:
   x + U iff every ANF coefficient of degree >= 2 of t -> f(x + span point t)
   is 0.  The coefficients whose two lowest variables are i < j are, by a
   triangular change of basis, the second derivatives D_(u_i) D_(u_j) f at
-  the points x + span point t for the t made of basis bits above j only.
-  So the 2^k - k - 1 span-column quads (t, t|2^i, t|2^j, t|2^i|2^j) of
-  those t (11 at k = 4, 4 at k = 3, 1 at k = 2, none at k <= 1) decide
-  affinity, and none of them can be left out.  Once per call the kernel
-  builds the translate table: row w is a 2^m-bit string whose bit x is
-  f(x ^ w), 8 KB at m = 8.  Per subspace it computes C, the OR over the
-  quads of the XOR of the four rows at the quad's span points; bit x of C
-  is 1 iff f is not affine on x + U.  C is constant on each coset, so a
-  coset is a hit iff C is 0 at its representative.  When C is 1 at every
-  point of f the subspace has no affine coset, which holds for almost every
-  row, and the row is skipped after its bounds check; the others append
-  their hits in order.  A subspace costs a few table XORs instead of 2^k
-  gathers per coset, and only the hits are written.  Every row is
+  the points x + span point t for the t made of basis bits above j only:
+  2^k - k - 1 of them (11 at k = 4, 4 at k = 3, 1 at k = 2, none at
+  k <= 1), and none can be left out.  Once per call the kernel builds the
+  translate table: row w is a 2^m-bit string whose bit x is f(x ^ w), 8 KB
+  at m = 8.  Per subspace it reads the translate row T(t) of each span
+  column t once and forms the first derivatives p_t = T(t) ^ T(t|1) for
+  even t and q_t = T(t) ^ T(t|2) for t = 0, 4, 8, 12.  Each second
+  derivative is the XOR of two of them (D_(u_0) D_(u_1) at t is
+  p_t ^ p_(t|2)), or T(0) ^ T(4) ^ T(8) ^ T(12) for D_(u_2) D_(u_3), and C
+  is the OR of all 11: bit x of C is 1 iff f is not affine on x + U.  The
+  formula is written for 16 span columns, one body for every k <= 4: it
+  reads column t mod 2^k, which is the span padded with zero directions
+  u_i = 0, and every second derivative through a zero direction is
+  T ^ T' ^ T ^ T' = 0, so a smaller k gets exactly its own conditions.  C
+  is constant on each coset, so a coset is a hit iff C is 0 at its
+  representative.  When C is 1 at every point of f the subspace has no
+  affine coset, which holds for almost every row, and the row is skipped
+  after its bounds check; the others append their hits in order.  A
+  subspace costs 16 table reads and a few XORs instead of 2^k gathers per
+  coset, and only the hits are written.  Every row, skipped or not, is
   bounds-checked by one OR of all of its span and representative points
   compared with 2^m: since the size of f is a power of two, that OR is
   below it iff every point is.  So a point outside f raises IndexError,
-  also in a skipped row, as numpy would.  The hit buffer
-  has one int64 per cell, so it cannot overflow, and only the pages the
-  kernel writes become resident.
+  also in a skipped row, as numpy would.  The hit buffer has one int64 per
+  cell, so it cannot overflow, and only the pages the kernel writes become
+  resident.
 - python: `_numpy_bits` packs the restriction of f to each coset into a
   pattern whose bit t is f(rep ^ span point t) and looks it up in
   `affine_lut(k)`, the table of the 2^(k+1) affine patterns; the hits are
@@ -85,7 +95,7 @@ import numpy as np
 from .boolfun import _ip_blocks
 from .gf2 import coset_representatives, linear_subspace_bases
 
-MAX_LUT_K = 4  # largest k: affine_lut(4) has 2^16 entries, a C span 16 points
+MAX_LUT_K = 4  # largest k: affine_lut(4) has 2^16 entries; the C formula is written for 2^4 = 16 span columns
 
 
 @lru_cache(maxsize=None)
@@ -136,39 +146,28 @@ _SOURCE = r"""
    operations: with four uint64_t words and a loop, gcc 12 -O3 on x86-64
    ran the (8, 4) scan about 1.5x slower. */
 #define MAX_POINTS 256
-#define MAX_QUADS 11
 typedef uint64_t row_t __attribute__((vector_size(32)));
 
-/* The span-column quads (t, t|i, t|j, t|i|j) for basis bits i < j and t
-   made of basis bits above j only: one per ANF monomial of degree >= 2. */
-static long quads(long s, uint8_t q[][4])
-{
-    long n = 0;
-    for (long j = 2; j < s; j <<= 1)
-        for (long i = 1; i < j; i <<= 1)
-            for (long t = 0; t < s; t += 2 * j, n++) {
-                q[n][0] = (uint8_t)t;
-                q[n][1] = (uint8_t)(t | i);
-                q[n][2] = (uint8_t)(t | j);
-                q[n][3] = (uint8_t)(t | i | j);
-            }
-    return n;
-}
-
-/* For each row: c = OR over the quads of the XOR of its four translate rows,
-   so bit x of c is 1 iff f is not affine on x ^ <span>.  A row whose c is 1
-   at every point of f has no affine coset and is skipped; otherwise hits
-   gets r * nc + j for each coset j whose representative has c 0, in order.
-   Returns the number of hits, or -1 for a span or representative point
-   outside f: nf is a power of two, so the OR of a row's points is < nf iff
-   each of them is. */
+/* For each row: c = OR of the 11 second derivatives D_(u_i) D_(u_j) f at
+   x ^ span point t, t made of basis bits above j, so bit x of c is 1 iff f
+   is not affine on x ^ <span>.  With T(t) the translate row of span column
+   t, each one is the XOR of two shared first derivatives: p_t = T(t) ^
+   T(t|1) for even t and q_t = T(t) ^ T(t|2) for t = 0, 4, 8, 12, so every
+   span point is read once.  The formula is written for 16 columns; T reads
+   column t mod s, which acts as a span padded with zero directions u_i = 0,
+   and every derivative through a zero direction is 0: one body for every
+   k <= 4.  A row whose c is 1 at every point of f has no affine coset and
+   is skipped; otherwise hits gets r * nc + j for each coset j whose
+   representative has c 0, in order.  Returns the number of hits, or -1 for
+   a span or representative point outside f: every row checks all of its
+   points, skipped or not, and nf is a power of two, so the OR of a row's
+   points is < nf iff each of them is. */
 long coset_affine_hits(const uint8_t *f, long nf, const uint16_t *spans, const uint16_t *reps,
                        long rows, long s, long nc, int64_t *hits)
 {
     row_t tr[MAX_POINTS] = {{0}}; /* tr[w] bit x = f(x ^ w) */
     row_t full = {0};             /* bit x = 1 for every point x of f */
-    uint8_t q[MAX_QUADS][4];
-    long nq = quads(s, q), nh = 0;
+    long nh = 0;
     for (long w = 0; w < nf; w++)
         for (long x = 0; x < nf; x++)
             tr[w][x >> 6] |= (uint64_t)(f[x ^ w] & 1u) << (x & 63);
@@ -176,7 +175,6 @@ long coset_affine_hits(const uint8_t *f, long nf, const uint16_t *spans, const u
         full[x >> 6] |= (uint64_t)1 << (x & 63);
     for (long r = 0; r < rows; r++) {
         const uint16_t *span = spans + r * s, *rep = reps + r * nc;
-        row_t c = {0};
         unsigned points = 0;
         for (long t = 0; t < s; t++)
             points |= span[t];
@@ -184,8 +182,14 @@ long coset_affine_hits(const uint8_t *f, long nf, const uint16_t *spans, const u
             points |= rep[j];
         if (points >= (unsigned long)nf)
             return -1;
-        for (long n = 0; n < nq; n++)
-            c |= tr[span[q[n][0]]] ^ tr[span[q[n][1]]] ^ tr[span[q[n][2]]] ^ tr[span[q[n][3]]];
+#define T(t) tr[span[(t) & (s - 1)]]
+        row_t t0 = T(0), t2 = T(2), t4 = T(4), t6 = T(6), t8 = T(8), t10 = T(10), t12 = T(12), t14 = T(14);
+        row_t p0 = t0 ^ T(1), p2 = t2 ^ T(3), p4 = t4 ^ T(5), p6 = t6 ^ T(7);
+        row_t p8 = t8 ^ T(9), p10 = t10 ^ T(11), p12 = t12 ^ T(13), p14 = t14 ^ T(15);
+#undef T
+        row_t q0 = t0 ^ t2, q4 = t4 ^ t6, q8 = t8 ^ t10, q12 = t12 ^ t14;
+        row_t c = (p0 ^ p2) | (p4 ^ p6) | (p8 ^ p10) | (p12 ^ p14) | (p0 ^ p4) | (p8 ^ p12) | (p0 ^ p8)
+                  | (q0 ^ q4) | (q8 ^ q12) | (q0 ^ q8) | (t0 ^ t4 ^ t8 ^ t12);
         row_t d = c ^ full;
         if (!(d[0] | d[1] | d[2] | d[3]))
             continue;
@@ -237,21 +241,37 @@ _LIB, FALLBACK_REASON = _load(os.path.join(os.path.dirname(os.path.abspath(__fil
 BACKEND = "python" if _LIB is None else "compiled"  # run records report it
 
 
+def _points(a, n: int) -> np.ndarray:
+    """a as a C-contiguous uint16 array.  Only another dtype is scanned, so
+    that the cast can neither wrap nor truncate a point: uint16 points reach
+    the bounds check of the backend with no extra pass."""
+    a = np.asarray(a)
+    if a.dtype != np.uint16 and a.size:
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"coset points are {a.dtype}, not integers")
+        if a.min() < 0 or a.max() >= n:
+            raise IndexError(f"a coset point is outside f (size {n})")
+    return np.ascontiguousarray(a, dtype=np.uint16)
+
+
 def _checked(f, spans, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The inputs as C-contiguous arrays of the kernel's dtypes (no copy when
-    they already are) and k, after checking the shapes the C code relies on."""
+    they already are) and k, after checking the values and shapes the C code
+    relies on."""
+    f = np.asarray(f)
+    if f.size < 1 or f.size & (f.size - 1):
+        raise IndexError(f"f has {f.size} entries, not 2^m: a coset point lies outside it")
+    if f.size > 1 << MAX_M:
+        raise ValueError(f"f has {f.size} entries, more than 2^{MAX_M}")
+    if ((f != 0) & (f != 1)).any():
+        raise ValueError("f has values other than 0 and 1")
     f = np.ascontiguousarray(f, dtype=np.uint8)
-    spans = np.ascontiguousarray(spans, dtype=np.uint16)
-    reps = np.ascontiguousarray(reps, dtype=np.uint16)
+    spans, reps = _points(spans, f.size), _points(reps, f.size)
     if spans.ndim != 2 or reps.ndim != 2 or spans.shape[0] != reps.shape[0]:
         raise ValueError(f"spans {spans.shape} and reps {reps.shape} need one row per subspace")
     s = spans.shape[1]
     if s < 1 or s & (s - 1) or s > 1 << MAX_LUT_K:
         raise ValueError(f"spans have {s} columns, not 2^k with k <= {MAX_LUT_K}")
-    if f.size < 1 or f.size & (f.size - 1):
-        raise IndexError(f"f has {f.size} entries, not 2^m: a coset point lies outside it")
-    if f.size > 1 << MAX_M:
-        raise ValueError(f"f has {f.size} entries, more than 2^{MAX_M}")
     return f, spans, reps, s.bit_length() - 1
 
 

@@ -1,13 +1,15 @@
 """The scan arrays against the subspace enumeration, the coset kernel
 against the affinity definition, coset_affine_bits against the scatter of
 coset_affine_hits and coset_affine_all against its row reduction, the
-compiled backend against the numpy reference, and the build, fallback and
-bounds checks of the compiled backend."""
+compiled backend against the numpy reference, the build, fallback, input
+and bounds checks of the compiled backend, and a UBSan run of its source."""
 
 import functools
+import os
 import random
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +155,16 @@ def test_compiled_equals_numpy(m, k):
             assert got.all(), name
 
 
+def _scan_inputs(m, k):
+    """The zero f and a random one, plus the MF and quadratic inputs at even
+    m > 0."""
+    inputs = {"zero": np.zeros(1 << m, dtype=np.uint8),
+              "random": np.random.default_rng(m * 10 + k).integers(0, 2, 1 << m, dtype=np.uint8)}
+    if m and m % 2 == 0:
+        inputs |= {name: f for name, f in _inputs(m, seed=m * 10 + k).items() if name in ("mf", "quadratic")}
+    return inputs
+
+
 @pytest.mark.parametrize("m,k", [(m, k) for m in range(1, 9) for k in range(min(m, kernels.MAX_LUT_K) + 1)])
 def test_hits_are_the_flags_of_the_numpy_reference(monkeypatch, m, k):
     """coset_affine_hits lists the flat indices of numpy's flags on both
@@ -160,11 +172,7 @@ def test_hits_are_the_flags_of_the_numpy_reference(monkeypatch, m, k):
     none, so the compiled kernel skips them), and coset_affine_bits is the
     scatter of the hits."""
     spans, reps = scan_arrays(m, k)
-    inputs = {"zero": np.zeros(1 << m, dtype=np.uint8),
-              "random": np.random.default_rng(m * 10 + k).integers(0, 2, 1 << m, dtype=np.uint8)}
-    if m % 2 == 0:
-        inputs |= {name: f for name, f in _inputs(m, seed=m * 10 + k).items() if name in ("mf", "quadratic")}
-    for name, f in inputs.items():
+    for name, f in _scan_inputs(m, k).items():
         want = np.flatnonzero(kernels._numpy_bits(f, spans, reps, affine_lut(k)))
         scatter = np.zeros(reps.shape, dtype=np.uint8)
         scatter.reshape(-1)[want] = 1
@@ -175,6 +183,67 @@ def test_hits_are_the_flags_of_the_numpy_reference(monkeypatch, m, k):
             hits = kernels.coset_affine_hits(f, spans, reps)
             assert hits.dtype == want.dtype and np.array_equal(hits, want), (name, lib)
         assert np.array_equal(kernels.coset_affine_bits(f, spans, reps), scatter), name
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(9) for k in range(min(m, kernels.MAX_LUT_K - 1) + 1)])
+def test_a_zero_direction_adds_no_condition(monkeypatch, m, k):
+    """Spans tiled to 16 columns, column t the k-dim span's column t mod 2^k,
+    are the span padded with zero directions.  The compiled formula reads
+    every k < 4 this way, and a 4-variable pattern that depends only on its
+    low k bits is affine iff its k-variable part is, so on both backends the
+    tiled spans give the hits of the k-dim ones."""
+    spans, reps = scan_arrays(m, k)
+    tiled = spans[:, np.arange(16) % (1 << k)]
+    for name, f in _scan_inputs(m, k).items():
+        for lib in (None, kernels._LIB):
+            monkeypatch.setattr(kernels, "_LIB", lib)
+            want = kernels.coset_affine_hits(f, spans, reps)
+            assert np.array_equal(kernels.coset_affine_hits(f, tiled, reps), want), (name, lib)
+
+
+_UBSAN_CHECK = r"""
+import ctypes, sys
+import numpy as np
+from mfnear import kernels
+try:
+    lib = ctypes.CDLL(sys.argv[1])
+except OSError as exc:
+    print(exc)
+    sys.exit(77)
+lib.coset_affine_hits.argtypes = kernels._ARGTYPES
+lib.coset_affine_hits.restype = ctypes.c_long
+for m in range(9):
+    for k in range(min(m, kernels.MAX_LUT_K) + 1):
+        spans, reps = kernels.scan_arrays(m, k)
+        for f in (np.zeros(1 << m, dtype=np.uint8),
+                  np.random.default_rng(m * 10 + k).integers(0, 2, 1 << m, dtype=np.uint8)):
+            out = np.empty(reps.size, dtype=np.int64)
+            n = lib.coset_affine_hits(f.ctypes.data, f.size, spans.ctypes.data, reps.ctypes.data,
+                                      *spans.shape, reps.shape[1], out.ctypes.data)
+            assert np.array_equal(out[:n], kernels.coset_affine_hits(f, spans, reps)), (m, k)
+"""
+
+
+@needs_cc
+def test_kernel_runs_clean_under_ubsan(tmp_path):
+    """The kernel source built with UBSan, every check fatal, finds the hits
+    of coset_affine_hits for all (m, k) on the zero and a random f.  A read
+    of span column t mod 16 instead of mod 2^k, say, indexes past the
+    translate table at k < 4 and aborts.  It runs in a subprocess, so an
+    abort fails this test instead of the test session."""
+    lib = tmp_path / "kernel-ubsan.so"
+    build = subprocess.run(["cc", *kernels._FLAGS, "-fsanitize=undefined", "-fno-sanitize-recover=all",
+                            "-x", "c", "-", "-o", str(lib)],
+                           input=kernels._SOURCE, capture_output=True, text=True, timeout=60)
+    if build.returncode and "ubsan" in build.stderr:
+        pytest.skip(f"the UBSan runtime does not link: {build.stderr.strip().splitlines()[-1]}")
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernels.__file__)))
+    run = subprocess.run([sys.executable, "-c", _UBSAN_CHECK, str(lib)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    if run.returncode == 77:
+        pytest.skip(f"the UBSan runtime does not load: {run.stdout.strip()}")
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 @pytest.mark.parametrize("case", ["no cc", "cc fails", "cache not writable"])
@@ -270,3 +339,36 @@ def test_mismatched_inputs_raise(monkeypatch):
             for args in bad:
                 with pytest.raises(ValueError):
                     fn(*args)
+
+
+def test_values_a_cast_would_change_raise(monkeypatch):
+    """f values other than 0 and 1 and points that are not integers raise
+    ValueError, and points outside f IndexError, on both backends, before a
+    cast to uint8 or uint16 could wrap or truncate them.  Inputs of the
+    kernel's dtypes are passed on as they are."""
+    spans, reps = scan_arrays(6, 3)
+    f = _inputs(6, seed=9)["mf"]
+    two, big = f.copy(), f.astype(np.int64)
+    two[3], big[3] = 2, 257
+    half = f.astype(float)
+    half[3] = 0.5
+    wrapped, negative, wrapped_reps = spans.astype(np.int64), spans.astype(np.int64), reps.astype(np.int64)
+    wrapped[0, 1] += 1 << 16
+    negative[0, 1] = -65535
+    wrapped_reps[0, 1] += 1 << 16
+    fractional = spans.astype(float)
+    fractional[0, 1] += 0.5
+    bad = {ValueError: [(two, spans, reps), (big, spans, reps), (half, spans, reps),
+                        (f, fractional, reps), (f, spans, reps.astype(float))],
+           IndexError: [(f, wrapped, reps), (f, negative, reps), (f, spans, wrapped_reps)]}
+    for lib in (kernels._LIB, None):
+        monkeypatch.setattr(kernels, "_LIB", lib)
+        want = kernels.coset_affine_hits(f, spans, reps)
+        widened = (f.astype(np.int64), spans.astype(np.int64), reps.astype(np.int32))
+        assert np.array_equal(kernels.coset_affine_hits(*widened), want), lib
+        for error, cases in bad.items():
+            for args in cases:
+                with pytest.raises(error):
+                    kernels.coset_affine_hits(*args)
+    _, same_spans, same_reps, _ = kernels._checked(f, spans, reps)
+    assert same_spans is spans and same_reps is reps
